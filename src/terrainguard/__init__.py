@@ -26,7 +26,6 @@ from .geometry import (
     DiagonalEdge,
     NonAlternatingEdges,
     NotMonotone,
-    NotReflex,
     OddVertexCount,
     Point,
     Terrain,
@@ -38,7 +37,6 @@ from .geometry import (
     convex_indices,
     reflex_indices,
     validate,
-    vertex_below,
 )
 from .solver import (
     EmptyRow,
@@ -70,7 +68,6 @@ __all__ = [
     "NotConvex",
     "NotGreedyForm",
     "NotMonotone",
-    "NotReflex",
     "OddVertexCount",
     "ParseError",
     "Point",
@@ -104,6 +101,5 @@ __all__ = [
     "solve",
     "validate",
     "valley_comb",
-    "vertex_below",
     "visibility_relation",
 ]

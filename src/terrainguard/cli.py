@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .covermatrix import build, format_matrix
+from .covermatrix import CoverMatrix, build, format_matrix
 from .generator import GenSpec, random_terrain
 from .geometry import Terrain, ValidationError
 from .solver import (
@@ -97,8 +97,7 @@ def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> st
     return "\n".join(lines) + "\n"
 
 
-def _run_oracle(t: Terrain, result: GuardSolution | InfeasibilityReport) -> tuple[int, str]:
-    m = build(t, visibility_relation(t))
+def _run_oracle(m: CoverMatrix, result: GuardSolution | InfeasibilityReport) -> tuple[int, str]:
     try:
         opt, _ = brute_force_optimum(m)
     except EmptyRow:
@@ -121,18 +120,19 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
     result = solve(terrain, allow_partial=args.allow_partial)
+    if args.oracle and terrain.n // 2 > 25:
+        print("error: --oracle needs at most 25 reflex vertices", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    m = build(terrain, visibility_relation(terrain)) if args.oracle or args.matrix else None
 
     oracle_code = EXIT_OK
     oracle_line = None
     if args.oracle:
-        if terrain.n // 2 > 25:
-            print("error: --oracle needs at most 25 reflex vertices", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        oracle_code, oracle_line = _run_oracle(terrain, result)
+        oracle_code, oracle_line = _run_oracle(m, result)
 
     if not args.quiet:
         if args.matrix:
-            sys.stdout.write(format_matrix(build(terrain, visibility_relation(terrain))))
+            sys.stdout.write(format_matrix(m))
         sys.stdout.write(format_report(terrain, result))
         if oracle_line is not None:
             print(oracle_line)

@@ -10,14 +10,17 @@ pattern [[1,1],[1,0]]:
 
 A matrix with no such induced pattern is in standard greedy form, and a
 simple one-pass greedy finds a provably minimum cover on it (see solver).
-Rows are stored as column bitmasks, so the structural checks and the solver
-stay cheap even for terrains with thousands of vertices.
+Rows are stored sparsely, as the increasing column indices of their ones:
+a terrain row holds only a few ones, so the form check and the solver run
+in time and memory proportional to the number of visible pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+from operator import ge
 from typing import NamedTuple, Sequence
 
 from .geometry import Terrain, VertexClass
@@ -40,16 +43,25 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class CoverMatrix:
-    """0/1 matrix in the permuted order, rows encoded as integer bitmasks.
+    """0/1 matrix in the permuted order, rows stored as sparse column tuples.
 
-    ``rows[i]`` has bit j set iff the guard at ``col_labels[j]`` sees the
-    convex vertex at ``row_labels[i]``.  ``entries`` materialises the dense
-    0/1 form on demand; it is meant for small matrices and debugging.
+    ``rows[i]`` is the strictly increasing tuple of columns j whose guard at
+    ``col_labels[j]`` sees the convex vertex at ``row_labels[i]``; a row
+    nobody covers is the empty (falsy) tuple.  ``entries`` materialises the
+    dense 0/1 form on demand; it is meant for small matrices and debugging.
     """
 
-    rows: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
     row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        width = len(self.col_labels)
+        for i, row in enumerate(self.rows):
+            if row and (row[0] < 0 or row[-1] >= width or any(map(ge, row, row[1:]))):
+                raise ValueError(
+                    f"row {i} must hold strictly increasing columns in [0, {width}), got {row}"
+                )
 
     @property
     def k(self) -> int:
@@ -61,15 +73,20 @@ class CoverMatrix:
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        w = self.k_prime
-        return tuple(tuple((r >> j) & 1 for j in range(w)) for r in self.rows)
+        dense = []
+        for row in self.rows:
+            line = [0] * self.k_prime
+            for j in row:
+                line[j] = 1
+            dense.append(tuple(line))
+        return tuple(dense)
 
     def entry(self, i: int, j: int) -> int:
         if not 0 <= i < self.k:
             raise IndexError(f"row {i} out of range")
         if not 0 <= j < self.k_prime:
             raise IndexError(f"column {j} out of range")
-        return (self.rows[i] >> j) & 1
+        return int(j in self.rows[i])
 
     @classmethod
     def from_entries(
@@ -89,7 +106,7 @@ class CoverMatrix:
             raise ValueError("ragged matrix")
         if any(v not in (0, 1) for row in entries for v in row):
             raise ValueError("entries must be 0 or 1")
-        rows = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in entries)
+        rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
         rl = tuple(row_labels) if row_labels is not None else tuple(range(len(entries)))
         cl = tuple(col_labels) if col_labels is not None else tuple(range(width))
         if len(rl) != len(entries) or len(cl) != width:
@@ -110,46 +127,41 @@ def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
     col_labels = tuple(rr[::-1] + lr)
     col_pos = {g: j for j, g in enumerate(col_labels)}
     row_pos = {c: i for i, c in enumerate(row_labels)}
-    rows = [0] * len(row_labels)
+    rows: list[list[int]] = [[] for _ in row_labels]
     for g, c in rel.pairs:
-        rows[row_pos[c]] |= 1 << col_pos[g]
-    return CoverMatrix(tuple(rows), row_labels, col_labels)
+        rows[row_pos[c]].append(col_pos[g])
+    return CoverMatrix(tuple(map(tuple, map(sorted, rows))), row_labels, col_labels)
 
 
 def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:
     """First forbidden-pattern witness found, or None if the matrix is clean.
 
-    Sweeps rows top to bottom keeping, per column j, the union of ones that
-    earlier rows with a one at j carry to the right of j.  A later row with
-    a one at j must contain that whole union; any missing column completes
-    the pattern.  Runs in O(ones * k'/wordsize) via integer bitmasks.
+    Sweeps rows top to bottom remembering, per column, the last row with a
+    one there.  The matrix is clean exactly when each row contains, for
+    every column j1 it holds, the ones that the last earlier row at j1 has
+    to the right of j1: chaining those containments covers every earlier
+    row at j1.  A row is compared once with each distinct last row, at the
+    leftmost shared j1, which implies the comparisons at the others; a
+    missing column completes the pattern.  A row takes part in at most as
+    many comparisons as it has ones, as the earlier row and as the later
+    one, and a comparison costs the two rows' lengths, so the scan is
+    bounded by the sum of squared row lengths.
     """
 
-    width = m.k_prime
-    if width == 0:
-        return None
-    full = (1 << width) - 1
-    right_union = [0] * width
+    last = [-1] * m.k_prime
     for i2, row in enumerate(m.rows):
-        for j1 in _iter_bits(row):
-            missing = right_union[j1] & ~row & full
-            if missing:
-                j2 = (missing & -missing).bit_length() - 1
-                need = (1 << j1) | (1 << j2)
-                for i1 in range(i2):
-                    if m.rows[i1] & need == need:
-                        return Violation(i1, i2, j1, j2)
-                raise AssertionError("union tracked a pair no row contains")
-        for j1 in _iter_bits(row):
-            right_union[j1] |= row >> (j1 + 1) << (j1 + 1)
+        compared: set[int] = set()
+        for j1 in row:
+            i1, last[j1] = last[j1], i2
+            if i1 < 0 or i1 in compared:
+                continue
+            compared.add(i1)
+            upper = m.rows[i1]
+            right = upper[bisect_right(upper, j1) :]
+            if right and not set(row).issuperset(right):
+                j2 = next(j for j in right if j not in row)
+                return Violation(i1, i2, j1, j2)
     return None
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def is_standard_greedy_form(m: CoverMatrix) -> bool:
@@ -197,7 +209,6 @@ def format_matrix(m: CoverMatrix) -> str:
     """Line-oriented debug dump: column labels, then one 0/1 row per line."""
 
     lines = ["cols: " + " ".join(str(g) for g in m.col_labels)]
-    for i, label in enumerate(m.row_labels):
-        bits = "".join(str(m.entry(i, j)) for j in range(m.k_prime))
-        lines.append(f"row {label}: {bits}")
+    for label, line in zip(m.row_labels, m.entries):
+        lines.append(f"row {label}: " + "".join(map(str, line)))
     return "\n".join(lines) + "\n"

@@ -61,10 +61,6 @@ class NotMonotone(ValidationError):
     pass
 
 
-class NotReflex(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Point:
     """Integer grid point; usable as a dict key or set member."""
@@ -203,18 +199,6 @@ def classify(t: Terrain, i: int) -> VertexClass:
     (rays included), convex or reflex by the angle above the terrain."""
 
     return t.classes[i]
-
-
-def vertex_below(t: Terrain, i: int) -> int:
-    """The convex vertex directly below reflex vertex i.
-
-    That is the other endpoint of i's vertical edge: same x, strictly
-    smaller y.  Defined for completeness; the solver pipeline never needs it.
-    """
-
-    if not t.classes[i].is_reflex:
-        raise NotReflex(f"vertex {i} is {t.classes[i].value}, not reflex")
-    return vertical_partner(i)
 
 
 def convex_indices(t: Terrain) -> tuple[int, ...]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
+from typing import Mapping
 
 from .covermatrix import CoverMatrix, Violation, build, find_greedy_form_violation
 from .geometry import Terrain
@@ -49,13 +51,18 @@ class TooManyColumns(ValueError):
 class GuardSolution:
     """Minimum guard set with a per-target witness.
 
-    ``guards`` are reflex vertex indices in chain order; ``assignment`` maps
-    every covered convex vertex to the guard that first covered it in greedy
-    choice order.  ``size`` is the proven-minimum cardinality.
+    ``guards`` are reflex vertex indices in chain order; ``assignment`` is a
+    read-only mapping from every covered convex vertex, in chain order, to
+    the guard that first covered it in greedy choice order.  ``size`` is the
+    proven-minimum cardinality.
     """
 
     guards: tuple[int, ...]
-    assignment: dict[int, int]
+    assignment: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        # a read-only view of a private copy keeps the frozen result immutable
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     @property
     def size(self) -> int:
@@ -74,30 +81,36 @@ class InfeasibilityReport:
     partial: GuardSolution | None = None
 
 
-def _greedy_scan(m: CoverMatrix, check_form: bool) -> tuple[list[int], dict[int, int]]:
-    """Chosen columns in choice order plus row -> first covering chosen column."""
+def _check_form(m: CoverMatrix) -> None:
+    violation = find_greedy_form_violation(m)
+    if violation is not None:
+        raise NotGreedyForm(violation)
 
-    if check_form:
-        violation = find_greedy_form_violation(m)
-        if violation is not None:
-            raise NotGreedyForm(violation)
-    for i, row in enumerate(m.rows):
-        if row == 0:
-            raise EmptyRow(i, m.row_labels[i])
+
+def _reject_empty_rows(m: CoverMatrix) -> None:
+    if not all(m.rows):
+        i = m.rows.index(())
+        raise EmptyRow(i, m.row_labels[i])
+
+
+def _greedy_scan(m: CoverMatrix) -> tuple[list[int], list[int | None]]:
+    """Chosen columns in choice order plus, per row, its first covering
+    chosen column; an empty row is skipped and gets None."""
+
     chosen: list[int] = []
-    chosen_mask = 0
-    first_cover: dict[int, int] = {}
-    for i, row in enumerate(m.rows):
-        if row & chosen_mask:
-            for j in chosen:
-                if (row >> j) & 1:
-                    first_cover[i] = j
-                    break
-        else:
-            j = row.bit_length() - 1
-            chosen.append(j)
-            chosen_mask |= 1 << j
-            first_cover[i] = j
+    # position of each column in choice order; k' marks a column not chosen
+    unchosen = m.k_prime
+    rank = [unchosen] * m.k_prime
+    first_cover: list[int | None] = []
+    for row in m.rows:
+        if not row:
+            first_cover.append(None)
+            continue
+        r = min(map(rank.__getitem__, row))
+        if r == unchosen:
+            r = rank[row[-1]] = len(chosen)
+            chosen.append(row[-1])
+        first_cover.append(chosen[r])
     return chosen, first_cover
 
 
@@ -108,7 +121,10 @@ def greedy_cover(m: CoverMatrix, check_form: bool = True) -> frozenset[int]:
     when the matrix is known clean and speed matters.
     """
 
-    chosen, _ = _greedy_scan(m, check_form)
+    if check_form:
+        _check_form(m)
+    _reject_empty_rows(m)
+    chosen, _ = _greedy_scan(m)
     return frozenset(chosen)
 
 
@@ -123,24 +139,21 @@ def brute_force_optimum(m: CoverMatrix) -> tuple[int, tuple[int, ...]]:
     kp = m.k_prime
     if kp > BRUTE_FORCE_COLUMN_LIMIT:
         raise TooManyColumns(f"{kp} columns exceeds brute-force limit {BRUTE_FORCE_COLUMN_LIMIT}")
-    for i, row in enumerate(m.rows):
-        if row == 0:
-            raise EmptyRow(i, m.row_labels[i])
+    _reject_empty_rows(m)
     if not m.rows:
         return 0, ()
+    masks = [sum(1 << j for j in row) for row in m.rows]
     for size in range(1, kp + 1):
         for cols in combinations(range(kp), size):
             mask = 0
             for j in cols:
                 mask |= 1 << j
-            if all(row & mask for row in m.rows):
+            if all(row & mask for row in masks):
                 return size, cols
     raise AssertionError("full column set must cover once empty rows are excluded")
 
 
-def solve(
-    t: Terrain, allow_partial: bool = False, check_form: bool = True
-) -> GuardSolution | InfeasibilityReport:
+def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | InfeasibilityReport:
     """Minimum reflex guard set covering every convex vertex of the terrain.
 
     Infeasible terrains return an InfeasibilityReport; with ``allow_partial``
@@ -150,27 +163,15 @@ def solve(
     """
 
     m = build(t, visibility_relation(t))
-    empties = [i for i, row in enumerate(m.rows) if row == 0]
-    if empties:
-        unguardable = tuple(sorted(m.row_labels[i] for i in empties))
-        partial = None
-        if allow_partial:
-            keep = [i for i, row in enumerate(m.rows) if row]
-            sub = CoverMatrix(
-                tuple(m.rows[i] for i in keep),
-                tuple(m.row_labels[i] for i in keep),
-                m.col_labels,
-            )
-            partial = _solution_from_matrix(sub, check_form)
-        return InfeasibilityReport(unguardable, partial)
-    return _solution_from_matrix(m, check_form)
-
-
-def _solution_from_matrix(m: CoverMatrix, check_form: bool) -> GuardSolution:
-    chosen, first_cover = _greedy_scan(m, check_form)
+    unguardable = tuple(sorted(c for c, row in zip(m.row_labels, m.rows) if not row))
+    if unguardable and not allow_partial:
+        return InfeasibilityReport(unguardable)
+    # empty rows hold no ones, so they change neither the check nor the scan
+    _check_form(m)
+    chosen, first_cover = _greedy_scan(m)
     guards = tuple(sorted(m.col_labels[j] for j in chosen))
-    assignment = {
-        m.row_labels[i]: m.col_labels[first_cover[i]] for i in range(m.k)
-    }
-    assignment = dict(sorted(assignment.items()))
-    return GuardSolution(guards, assignment)
+    assignment = sorted(
+        (c, m.col_labels[j]) for c, j in zip(m.row_labels, first_cover) if j is not None
+    )
+    solution = GuardSolution(guards, dict(assignment))
+    return InfeasibilityReport(unguardable, solution) if unguardable else solution

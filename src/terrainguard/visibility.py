@@ -89,78 +89,64 @@ class VisibilityRelation:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def by_target(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for g, c in self.pairs:
-            out.setdefault(c, []).append(g)
-        return {c: tuple(gs) for c, gs in out.items()}
-
 
 def visibility_relation(t: Terrain) -> VisibilityRelation:
     """Visible (reflex guard, convex target) pairs for the whole terrain.
 
     Uses one directional sweep per convex vertex instead of per-pair tests,
     so the whole relation costs O(n) per convex vertex.  Agreement with
-    candidate_guards is a tested invariant.
+    candidate_guards is a tested invariant.  Right-convex targets look
+    left; their sweep runs over negated x so that it is the same rightward
+    sweep seen in a mirror.
     """
 
+    xs, ys, classes = t.xs, t.ys, t.classes
+    mirrored_xs = tuple(-x for x in xs)
+    top_y = max(ys)
     pairs: list[tuple[int, int]] = []
-    top_y = max(t.ys)
-    for c, cls in enumerate(t.classes):
-        if not cls.is_convex:
-            continue
+    for c, cls in enumerate(classes):
         if cls is RC:
-            guards = [r for r in _visible_sweep(t, c, -1, top_y) if t.classes[r] is RR]
+            guards = [r for r in _visible_sweep(mirrored_xs, ys, c, -1, top_y) if classes[r] is RR]
+            guards.reverse()  # the leftward walk meets guards right to left
+        elif cls is LC:
+            guards = [r for r in _visible_sweep(xs, ys, c, 1, top_y) if classes[r] is LR]
         else:
-            guards = [r for r in _visible_sweep(t, c, 1, top_y) if t.classes[r] is LR]
-        guards.sort()
+            continue
         pairs.extend((g, c) for g in guards)
-    pairs.sort(key=lambda p: (p[1], p[0]))
     return VisibilityRelation(tuple(pairs))
 
 
-def _visible_sweep(t: Terrain, c: int, step: int, top_y: int | None = None) -> list[int]:
-    """Indices of all vertices visible from vertex c scanning one direction.
+def _visible_sweep(
+    xs: tuple[int, ...], ys: tuple[int, ...], c: int, step: int, top_y: int
+) -> list[int]:
+    """Indices of all vertices visible from vertex c, walking the chain by step.
 
-    Walks the chain away from c keeping the extreme blocking slope seen so
-    far as an integer vector (ux, uy) relative to c; a vertex is visible
-    exactly when its slope from c strictly beats that extreme, and then it
-    becomes the new extreme.  The first neighbour is the other endpoint of
-    a terrain edge at c, hence never visible but always a blocker.  Once
-    even a vertex at the terrain's maximum height could no longer beat the
-    extreme, nothing further out can be visible and the walk stops.
+    ``xs`` must increase in the walking direction: the terrain's own x for
+    step 1, negated x for step -1, so the geometry is always a rightward
+    sweep.  Keeps the extreme blocking slope seen so far as an integer
+    vector (ux, uy) relative to c; a vertex is visible exactly when its
+    slope from c strictly beats that extreme, and then it becomes the new
+    extreme.  The first neighbour is the other endpoint of a terrain edge at
+    c, hence never visible but always a blocker.  Once even a vertex at the
+    terrain's maximum height ``top_y`` could no longer beat the extreme,
+    nothing further out can be visible and the walk stops.
     """
 
-    xs, ys = t.xs, t.ys
-    n = len(xs)
     xc, yc = xs[c], ys[c]
-    top = (max(ys) if top_y is None else top_y) - yc
+    top = top_y - yc
+    stop = len(xs) if step > 0 else -1
     out: list[int] = []
-    i = c + step
-    if i < 0 or i >= n:
+    if c + step == stop:
         return out
-    ux, uy = xs[i] - xc, ys[i] - yc
-    i += step
-    if step < 0:
-        while i >= 0:
-            wx = xs[i] - xc
-            # best remaining slope is (top / wx); once it cannot beat uy/ux
-            # the scan is done (both denominators negative)
-            if top * ux >= uy * wx:
-                break
-            wy = ys[i] - yc
-            if ux * wy - uy * wx < 0:
-                out.append(i)
-                ux, uy = wx, wy
-            i -= 1
-    else:
-        while i < n:
-            wx = xs[i] - xc
-            if top * ux <= uy * wx:
-                break
-            wy = ys[i] - yc
-            if ux * wy - uy * wx > 0:
-                out.append(i)
-                ux, uy = wx, wy
-            i += 1
+    ux, uy = xs[c + step] - xc, ys[c + step] - yc
+    for i in range(c + 2 * step, stop, step):
+        wx = xs[i] - xc
+        # best remaining slope is top / wx; once it cannot beat uy / ux the
+        # walk is done (both denominators positive)
+        if top * ux <= uy * wx:
+            break
+        wy = ys[i] - yc
+        if ux * wy - uy * wx > 0:
+            out.append(i)
+            ux, uy = wx, wy
     return out

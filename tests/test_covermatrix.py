@@ -108,6 +108,23 @@ class TestFromEntries:
         assert m.entries == ((1, 1), (0, 1))
 
 
+class TestRows:
+    def test_rejects_unsorted_row(self):
+        with pytest.raises(ValueError):
+            CoverMatrix(((1, 0),), (0,), (0, 1))
+
+    def test_rejects_out_of_range_row(self):
+        with pytest.raises(ValueError):
+            CoverMatrix(((0, 2),), (0,), (0, 1))
+        with pytest.raises(ValueError):
+            CoverMatrix(((-1,),), (0,), (0, 1))
+
+    def test_empty_row_is_falsy(self):
+        m = CoverMatrix(((), (1,)), (0, 1), (0, 1))
+        assert not m.rows[0]
+        assert m.entries == ((0, 0), (0, 1))
+
+
 class TestStandardGreedyForm:
     def test_forbidden_pattern_itself(self):
         m = CoverMatrix.from_entries(FORBIDDEN)

@@ -10,7 +10,6 @@ from terrainguard import (
     DiagonalEdge,
     NonAlternatingEdges,
     NotMonotone,
-    NotReflex,
     OddVertexCount,
     Point,
     TooFewVertices,
@@ -20,7 +19,6 @@ from terrainguard import (
     convex_indices,
     reflex_indices,
     validate,
-    vertex_below,
 )
 from tests.oracles import oracle_class
 
@@ -118,21 +116,3 @@ class TestClassify:
                 xs = [t.xs[i] for i, c in enumerate(t.classes) if c is cls]
                 assert xs == sorted(xs)
                 assert len(set(xs)) == len(xs)
-
-
-class TestVertexBelow:
-    def test_square_valley(self, square_valley):
-        assert vertex_below(square_valley, 0) == 1
-        assert vertex_below(square_valley, 3) == 2
-
-    def test_rejects_convex(self, square_valley):
-        with pytest.raises(NotReflex):
-            vertex_below(square_valley, 1)
-
-    def test_partner_is_convex_below_on_corpus(self, corpus):
-        for t in corpus:
-            for r in reflex_indices(t):
-                b = vertex_below(t, r)
-                assert t.classes[b].is_convex
-                assert t.xs[b] == t.xs[r]
-                assert t.ys[b] < t.ys[r]

@@ -58,10 +58,10 @@ class TestGreedyCover:
     def test_matches_oracle_on_built_matrices(self, corpus):
         for t in corpus:
             m = build(t, visibility_relation(t))
-            if any(row == 0 for row in m.rows):
+            if not all(m.rows):
                 continue
             cover = greedy_cover(m)
-            assert all(row & sum(1 << j for j in cover) for row in m.rows)
+            assert all(cover.intersection(row) for row in m.rows)
             assert len(cover) == oracle_min_cover([list(r) for r in m.entries])
 
     @given(matrices())
@@ -79,20 +79,18 @@ class TestGreedyCover:
         # also covers row i covers a subset of the later rows j2 covers
         for t in corpus:
             m = build(t, visibility_relation(t))
-            if any(row == 0 for row in m.rows):
+            if not all(m.rows):
                 continue
-            chosen_mask = 0
+            chosen: set[int] = set()
             for i, row in enumerate(m.rows):
-                if row & chosen_mask:
+                if chosen.intersection(row):
                     continue
-                j2 = row.bit_length() - 1
-                chosen_mask |= 1 << j2
-                for j1 in range(j2):
-                    if not (row >> j1) & 1:
-                        continue
+                j2 = row[-1]
+                chosen.add(j2)
+                for j1 in row[:-1]:
                     for later in m.rows[i + 1 :]:
-                        if (later >> j1) & 1:
-                            assert (later >> j2) & 1
+                        if j1 in later:
+                            assert j2 in later
 
 
 class TestBruteForce:
@@ -129,6 +127,12 @@ class TestSolve:
         assert isinstance(sol, GuardSolution)
         assert sol.guards == (0, 3)
         assert sol.size == 2
+        assert sol.assignment == {1: 3, 2: 0}
+
+    def test_assignment_is_read_only(self, square_valley):
+        sol = solve(square_valley)
+        with pytest.raises(TypeError):
+            sol.assignment[1] = 0
         assert sol.assignment == {1: 3, 2: 0}
 
     def test_single_step_infeasible(self, single_step_up):

@@ -5,6 +5,7 @@ import pytest
 from terrainguard import (
     NotConvex,
     VertexClass,
+    VisibilityRelation,
     candidate_guards,
     convex_indices,
     descending_staircase,
@@ -20,6 +21,13 @@ FOUR_CLASS = [
     (0, 4), (0, 1), (3, 1), (3, 3), (6, 3), (6, 0),
     (9, 0), (9, 5), (12, 5), (12, 2), (14, 2), (14, 6),
 ]
+
+
+def by_target(rel: VisibilityRelation) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for g, c in rel.pairs:
+        out.setdefault(c, []).append(g)
+    return {c: tuple(gs) for c, gs in out.items()}
 
 
 class TestSees:
@@ -120,7 +128,7 @@ class TestVisibilityRelation:
 
     def test_matches_candidate_guards(self, corpus):
         for t in corpus:
-            rel = visibility_relation(t).by_target()
+            rel = by_target(visibility_relation(t))
             for c in convex_indices(t):
                 assert rel.get(c, ()) == candidate_guards(t, c)
 
