@@ -27,15 +27,12 @@ from .geometry import (
     NonAlternatingEdges,
     NotMonotone,
     OddVertexCount,
-    Point,
     Terrain,
     TooFewVertices,
     ValidationError,
     VertexClass,
     ZeroLengthEdge,
-    classify,
     convex_indices,
-    reflex_indices,
     validate,
 )
 from .solver import (
@@ -70,7 +67,6 @@ __all__ = [
     "NotMonotone",
     "OddVertexCount",
     "ParseError",
-    "Point",
     "SplitMix64",
     "Terrain",
     "TooFewVertices",
@@ -84,7 +80,6 @@ __all__ = [
     "brute_force_optimum",
     "build",
     "candidate_guards",
-    "classify",
     "convex_indices",
     "descending_staircase",
     "emit_svg",
@@ -95,7 +90,6 @@ __all__ = [
     "is_totally_balanced_bruteforce",
     "parse",
     "random_terrain",
-    "reflex_indices",
     "sees",
     "serialize",
     "solve",

@@ -17,6 +17,7 @@ from .covermatrix import CoverMatrix, build, format_matrix
 from .generator import GenSpec, random_terrain
 from .geometry import Terrain, ValidationError
 from .solver import (
+    BRUTE_FORCE_COLUMN_LIMIT,
     EmptyRow,
     GuardSolution,
     InfeasibilityReport,
@@ -54,7 +55,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check the answer against brute-force search (k' <= 25)",
+        help="cross-check the answer against brute-force search "
+        f"(k' <= {BRUTE_FORCE_COLUMN_LIMIT})",
     )
     p.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
     p.add_argument("--matrix", action="store_true", help="dump the permuted cover matrix")
@@ -119,10 +121,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    result = solve(terrain, allow_partial=args.allow_partial)
-    if args.oracle and terrain.n // 2 > 25:
-        print("error: --oracle needs at most 25 reflex vertices", file=sys.stderr)
+    if args.oracle and terrain.n // 2 > BRUTE_FORCE_COLUMN_LIMIT:
+        print(
+            f"error: --oracle needs at most {BRUTE_FORCE_COLUMN_LIMIT} reflex vertices",
+            file=sys.stderr,
+        )
         return EXIT_INPUT_ERROR
+    result = solve(terrain, allow_partial=args.allow_partial)
     m = build(terrain, visibility_relation(terrain)) if args.oracle or args.matrix else None
 
     oracle_code = EXIT_OK

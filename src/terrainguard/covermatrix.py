@@ -81,13 +81,6 @@ class CoverMatrix:
             dense.append(tuple(line))
         return tuple(dense)
 
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i < self.k:
-            raise IndexError(f"row {i} out of range")
-        if not 0 <= j < self.k_prime:
-            raise IndexError(f"column {j} out of range")
-        return int(j in self.rows[i])
-
     @classmethod
     def from_entries(
         cls,

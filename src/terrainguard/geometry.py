@@ -1,11 +1,12 @@
 """Exact integer geometry for orthogonal terrains.
 
 An orthogonal terrain is an x-monotone chain of axis-parallel edges, stored
-as its vertex sequence.  Two horizontal rays are implied but not stored: one
-extending left from the first vertex and one extending right from the last.
-The stored chain therefore starts and ends with a vertical edge, which forces
-an even vertex count and pairs every reflex vertex (top of a vertical edge)
-with the convex vertex directly below it.
+as two integer tuples: the x and the y coordinates of its vertices in chain
+order.  Two horizontal rays are implied but not stored: one extending left
+from the first vertex and one extending right from the last.  The stored
+chain therefore starts and ends with a vertical edge, which forces an even
+vertex count and pairs every reflex vertex (top of a vertical edge) with the
+convex vertex directly below it.
 
 All coordinates are bounded integers and every geometric decision in this
 package reduces to exact signed 64-bit-safe arithmetic; no floats anywhere.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence
 
 COORD_LIMIT = 2**30  # keeps every 2x2 determinant inside 62 signed bits
 
@@ -61,14 +62,6 @@ class NotMonotone(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
-    """Integer grid point; usable as a dict key or set member."""
-
-    x: int
-    y: int
-
-
 class VertexClass(Enum):
     """Position of a vertex on its horizontal edge, crossed with convexity.
 
@@ -101,65 +94,86 @@ class VertexClass(Enum):
         return not self.is_left
 
 
-PointLike = Union[Point, Tuple[int, int], Sequence[int]]
+# indexed [i & 1][is reflex]; see Terrain.__post_init__
+_CLASS_BY_PARITY = (
+    (VertexClass.RIGHT_CONVEX, VertexClass.RIGHT_REFLEX),
+    (VertexClass.LEFT_CONVEX, VertexClass.LEFT_REFLEX),
+)
 
 
 @dataclass(frozen=True)
 class Terrain:
-    """Validated orthogonal terrain.
+    """Validated orthogonal terrain; vertex i sits at ``(xs[i], ys[i])``.
 
     Construction runs the full invariant check, so holding a Terrain is proof
     of validity.  Instances are immutable and safe to share across workers.
-    Besides ``vertices`` the constructor caches flat coordinate tuples and
-    the per-vertex classification, which the visibility code leans on.
+    The constructor also derives ``classes``, the per-vertex classification
+    the visibility code leans on.
     """
 
-    vertices: tuple[Point, ...]
-    xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    ys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
     classes: tuple[VertexClass, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_invariants(self.vertices)
-        object.__setattr__(self, "xs", tuple(p.x for p in self.vertices))
-        object.__setattr__(self, "ys", tuple(p.y for p in self.vertices))
-        object.__setattr__(
-            self, "classes", tuple(_classify(self, i) for i in range(len(self.vertices)))
-        )
+        xs, ys = tuple(self.xs), tuple(self.ys)
+        _check_invariants(xs, ys)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        # Even-index vertices are the right endpoint of their horizontal edge and
+        # odd-index ones the left endpoint: horizontal edges occupy odd edge
+        # slots, and the left/right rays give v_0 and v_{n-1} the same parity
+        # rule.  Vertex i's vertical edge runs to i ^ 1, and i is reflex when it
+        # is the top of that edge.
+        classes = tuple(_CLASS_BY_PARITY[i & 1][ys[i] > ys[i ^ 1]] for i in range(len(ys)))
+        object.__setattr__(self, "classes", classes)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
 
-def validate(raw_points: Iterable[PointLike]) -> Terrain:
-    """Build a Terrain from raw coordinate pairs, or raise a ValidationError.
+def validate(raw_points: Iterable[Sequence[int]]) -> Terrain:
+    """Build a Terrain from integer ``(x, y)`` pairs, or raise a ValidationError.
 
-    The error names the first violated invariant walking the chain left to
+    Nothing is coerced: each point must be exactly two values, both of type
+    ``int``.  A point of the wrong shape is reported first; otherwise the
+    error names the first violated invariant walking the chain left to
     right, with the vertex index where it occurred.
     """
 
-    pts = tuple(p if isinstance(p, Point) else Point(int(p[0]), int(p[1])) for p in raw_points)
-    return Terrain(pts)
+    xs: list[int] = []
+    ys: list[int] = []
+    for i, p in enumerate(raw_points):
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            msg = f"vertex {i} must be an (x, y) pair, got {p!r}"
+            raise ValidationError(msg, index=i) from None
+        xs.append(x)
+        ys.append(y)
+    return Terrain(tuple(xs), tuple(ys))
 
 
-def _check_invariants(pts: tuple[Point, ...]) -> None:
-    n = len(pts)
+def _check_invariants(xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
+    n = len(xs)
+    if len(ys) != n:
+        msg = f"{n} x coordinates but {len(ys)} y coordinates"
+        raise ValidationError(msg, index=min(n, len(ys)))
     if n < 2:
         raise TooFewVertices(f"terrain needs at least 2 vertices, got {n}")
     if n % 2:
         raise OddVertexCount(f"vertex count must be even, got {n}")
-    for i, p in enumerate(pts):
-        if abs(p.x) > COORD_LIMIT or abs(p.y) > COORD_LIMIT:
-            raise CoordinateOutOfRange(
-                f"vertex {i} at ({p.x}, {p.y}) exceeds |coord| <= 2^30", index=i
-            )
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if type(x) is not int or type(y) is not int:
+            raise ValidationError(f"vertex {i} at ({x!r}, {y!r}) must have int coordinates", index=i)
+        if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+            raise CoordinateOutOfRange(f"vertex {i} at ({x}, {y}) exceeds |coord| <= 2^30", index=i)
     for i in range(n - 1):
-        a, b = pts[i], pts[i + 1]
-        dx, dy = b.x - a.x, b.y - a.y
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
         if dx == 0 and dy == 0:
             raise ZeroLengthEdge(f"edge {i} -> {i + 1} has zero length", index=i)
         if dx != 0 and dy != 0:
@@ -176,34 +190,5 @@ def _check_invariants(pts: tuple[Point, ...]) -> None:
                 raise NotMonotone(f"horizontal edge {i} -> {i + 1} must go rightward", index=i)
 
 
-def vertical_partner(i: int) -> int:
-    """Index of the other endpoint of vertex i's unique vertical edge."""
-
-    return i + 1 if i % 2 == 0 else i - 1
-
-
-def _classify(t: Terrain, i: int) -> VertexClass:
-    # Even-index vertices are the right endpoint of their horizontal edge and
-    # odd-index ones the left endpoint: horizontal edges occupy odd edge
-    # slots, and the left/right rays give v_0 and v_{n-1} the same parity
-    # rule.  Convexity falls out of the vertical-edge y comparison.
-    j = vertical_partner(i)
-    reflex = t.vertices[i].y > t.vertices[j].y
-    if i % 2 == 0:
-        return VertexClass.RIGHT_REFLEX if reflex else VertexClass.RIGHT_CONVEX
-    return VertexClass.LEFT_REFLEX if reflex else VertexClass.LEFT_CONVEX
-
-
-def classify(t: Terrain, i: int) -> VertexClass:
-    """Class of vertex i: left/right endpoint of its horizontal edge
-    (rays included), convex or reflex by the angle above the terrain."""
-
-    return t.classes[i]
-
-
 def convex_indices(t: Terrain) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(t.classes) if c.is_convex)
-
-
-def reflex_indices(t: Terrain) -> tuple[int, ...]:
-    return tuple(i for i, c in enumerate(t.classes) if c.is_reflex)

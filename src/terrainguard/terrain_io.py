@@ -59,5 +59,5 @@ def serialize(t: Terrain) -> str:
     """Canonical text form of a terrain."""
 
     lines = [str(t.n)]
-    lines += [f"{p.x} {p.y}" for p in t.vertices]
+    lines += [f"{x} {y}" for x, y in zip(t.xs, t.ys)]
     return "\n".join(lines) + "\n"

@@ -38,7 +38,7 @@ def sees(t: Terrain, a: int, b: int) -> bool:
     blocking vertex that merely touches the segment counts as blocking.
     """
 
-    n = len(t.vertices)
+    n = t.n
     if not (0 <= a < n and 0 <= b < n):
         raise IndexError(f"vertex index out of range: {a}, {b} with n={n}")
     if a == b:

@@ -106,7 +106,7 @@ def test_criterion_1_exactness_vs_oracle(main_corpus, comb_corpus):
                 brute_force_optimum(m)
             keep = [i for i, row in enumerate(m.rows) if row]
             if keep:
-                sub_entries = [[m.entry(i, j) for j in range(m.k_prime)] for i in keep]
+                sub_entries = [[int(j in m.rows[i]) for j in range(m.k_prime)] for i in keep]
                 sub = CoverMatrix.from_entries(sub_entries)
                 assert result.partial is not None
                 assert result.partial.size == brute_force_optimum(sub)[0]
@@ -127,7 +127,7 @@ def test_criterion_2_built_matrices_in_greedy_form(main_corpus, comb_corpus, lar
     checked = 0
     for t in main_corpus + comb_corpus + large_corpus:
         m = build(t, visibility_relation(t))
-        assert is_standard_greedy_form(m) is True, t.vertices
+        assert is_standard_greedy_form(m) is True, (t.xs, t.ys)
         checked += 1
     _report(2, f"zero forbidden patterns over {checked} built matrices (steps up to 200)")
 
@@ -137,7 +137,7 @@ def test_criterion_3_totally_balanced_cross_check(main_corpus):
     for t in main_corpus:
         if t.n // 2 <= 8:
             m = build(t, visibility_relation(t))
-            assert is_totally_balanced_bruteforce(m) is True, t.vertices
+            assert is_totally_balanced_bruteforce(m) is True, (t.xs, t.ys)
             checked += 1
     three_cycle = CoverMatrix.from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert is_totally_balanced_bruteforce(three_cycle) is False
@@ -176,7 +176,7 @@ def test_criterion_4_crossing_sightlines_imply_outer_visibility(order_corpus):
                     tuples += bin(witnesses).count("1")
                     if witnesses and not (see[p] >> s) & 1:
                         raise AssertionError(
-                            f"order violation p={p} r={r} s={s} on {t.vertices}"
+                            f"order violation p={p} r={r} s={s} on {(t.xs, t.ys)}"
                         )
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"criterion 4 exceeded its 1 minute budget: {elapsed:.1f}s"
@@ -189,7 +189,7 @@ def test_criterion_5_side_and_height_structure(main_corpus):
         sides_covered: dict[int, set[VertexClass]] = {}
         for g, c in visibility_relation(t).pairs:
             gc, cc = t.classes[g], t.classes[c]
-            assert (gc, cc) in ((RR, RC), (LR, LC)), (t.vertices, g, c)
+            assert (gc, cc) in ((RR, RC), (LR, LC)), ((t.xs, t.ys), g, c)
             assert t.ys[g] > t.ys[c]
             assert (t.xs[g] < t.xs[c]) if gc is RR else (t.xs[g] > t.xs[c])
             sides_covered.setdefault(g, set()).add(cc)
@@ -222,7 +222,7 @@ def test_criterion_7_pruned_equals_unpruned(main_corpus):
             unpruned = tuple(
                 r for r, cls in enumerate(t.classes) if cls.is_reflex and sees(t, r, c)
             )
-            assert candidate_guards(t, c) == unpruned, (t.vertices, c)
+            assert candidate_guards(t, c) == unpruned, ((t.xs, t.ys), c)
             checked += 1
     _report(7, f"pruned candidate sets equal unpruned brute force for {checked} convex vertices")
 

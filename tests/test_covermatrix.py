@@ -77,7 +77,7 @@ class TestBuild:
             for i, c in enumerate(m.row_labels):
                 for j, g in enumerate(m.col_labels):
                     if t.classes[c].is_left != t.classes[g].is_left:
-                        assert m.entry(i, j) == 0
+                        assert j not in m.rows[i]
 
     def test_entries_match_relation(self, corpus):
         for t in corpus:
@@ -87,7 +87,7 @@ class TestBuild:
                 (m.col_labels[j], m.row_labels[i])
                 for i in range(m.k)
                 for j in range(m.k_prime)
-                if m.entry(i, j)
+                if j in m.rows[i]
             }
             assert pairs == set(rel.pairs)
 

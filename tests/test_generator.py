@@ -21,7 +21,7 @@ from terrainguard import (
 def mirrored(t):
     """Left-right mirror of a terrain (negate x, reverse chain order)."""
 
-    return validate([(-p.x, p.y) for p in reversed(t.vertices)])
+    return validate(list(zip([-x for x in reversed(t.xs)], reversed(t.ys))))
 
 
 class TestSplitMix64:
@@ -61,7 +61,7 @@ class TestRandomTerrain:
     def test_frozen_vertices_for_seed_7(self):
         # pinned corpus sample: regenerating must never silently change
         t = random_terrain(GenSpec(seed=7, steps=3, max_run=4, max_rise=5))
-        assert [(p.x, p.y) for p in t.vertices] == [
+        assert list(zip(t.xs, t.ys)) == [
             (0, 0), (0, 3), (3, 3), (3, 7), (5, 7), (5, 11),
         ]
 
@@ -97,7 +97,7 @@ class TestDescendingStaircase:
 
     def test_single_step_matches_mirrored_step_up(self):
         t = descending_staircase(1, drop=10)
-        assert [(p.x, p.y) for p in t.vertices] == [(0, 0), (0, -10)]
+        assert list(zip(t.xs, t.ys)) == [(0, 0), (0, -10)]
 
     def test_ascending_mirror_is_also_fully_unguardable(self):
         t = mirrored(descending_staircase(4))

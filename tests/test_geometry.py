@@ -11,13 +11,12 @@ from terrainguard import (
     NonAlternatingEdges,
     NotMonotone,
     OddVertexCount,
-    Point,
+    Terrain,
     TooFewVertices,
+    ValidationError,
     VertexClass,
     ZeroLengthEdge,
-    classify,
     convex_indices,
-    reflex_indices,
     validate,
 )
 from tests.oracles import oracle_class
@@ -26,11 +25,36 @@ from tests.oracles import oracle_class
 class TestValidate:
     def test_square_valley_is_valid(self, square_valley):
         assert square_valley.n == 4
-        assert square_valley.vertices[0] == Point(0, 10)
+        assert (square_valley.xs[0], square_valley.ys[0]) == (0, 10)
 
-    def test_accepts_point_objects_and_tuples(self):
-        t = validate([Point(0, 10), (0, 0), (10, 0), (10, 10)])
-        assert t.vertices == (Point(0, 10), Point(0, 0), Point(10, 0), Point(10, 10))
+    def test_accepts_tuple_and_list_pairs(self):
+        t = validate([[0, 10], (0, 0), [10, 0], (10, 10)])
+        assert t.xs == (0, 0, 10, 10)
+        assert t.ys == (10, 0, 0, 10)
+        assert t == validate([(0, 10), (0, 0), (10, 0), (10, 10)])
+
+    @pytest.mark.parametrize(
+        "points, index",
+        [
+            ([(0, 10), (0, 0), (10.0, 0), (10, 10)], 2),
+            ([(0, 10), (0, 0), (10.7, 0), (10, 10)], 2),
+            ([(0, 10), (0, 0), ("10", 0), (10, 10)], 2),
+            ([(0, 10), (0, True), (10, 1), (10, 10)], 1),
+            ([(0, 10), (0, 0), (10, 0, 99), (10, 10)], 2),
+        ],
+        ids=["float", "fraction", "str", "bool", "three-values"],
+    )
+    def test_rejects_non_int_and_non_pair_points(self, points, index):
+        # each input is a valid terrain once coerced through int(), or once
+        # its third value is dropped
+        with pytest.raises(ValidationError) as exc:
+            validate(points)
+        assert exc.value.index == index
+
+    def test_rejects_coordinate_tuples_of_unequal_length(self):
+        with pytest.raises(ValidationError) as exc:
+            Terrain((0, 0), (0,))
+        assert exc.value.index == 1
 
     def test_diagonal_edge(self):
         with pytest.raises(DiagonalEdge) as exc:
@@ -71,12 +95,12 @@ class TestValidate:
 
     def test_terrain_is_immutable(self, square_valley):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            square_valley.vertices = ()
+            square_valley.xs = ()
 
 
 class TestClassify:
     def test_square_valley_classes(self, square_valley):
-        got = [classify(square_valley, i) for i in range(4)]
+        got = [square_valley.classes[i] for i in range(4)]
         assert got == [
             VertexClass.RIGHT_REFLEX,
             VertexClass.LEFT_CONVEX,
@@ -85,18 +109,18 @@ class TestClassify:
         ]
 
     def test_single_step_up(self, single_step_up):
-        assert classify(single_step_up, 0) is VertexClass.RIGHT_CONVEX
-        assert classify(single_step_up, 1) is VertexClass.LEFT_REFLEX
+        assert single_step_up.classes[0] is VertexClass.RIGHT_CONVEX
+        assert single_step_up.classes[1] is VertexClass.LEFT_REFLEX
 
     def test_single_step_down(self):
         t = validate([(0, 0), (0, -10)])
-        assert classify(t, 0) is VertexClass.RIGHT_REFLEX
-        assert classify(t, 1) is VertexClass.LEFT_CONVEX
+        assert t.classes[0] is VertexClass.RIGHT_REFLEX
+        assert t.classes[1] is VertexClass.LEFT_CONVEX
 
     def test_matches_probe_oracle_on_corpus(self, corpus):
         for t in corpus:
             for i in range(t.n):
-                assert classify(t, i).value == oracle_class(t, i), (t.vertices, i)
+                assert t.classes[i].value == oracle_class(t, i), ((t.xs, t.ys), i)
 
     def test_vertical_edge_tops_are_reflex_bottoms_convex(self, corpus):
         for t in corpus:
@@ -108,7 +132,7 @@ class TestClassify:
     def test_classes_partition_evenly(self, corpus):
         for t in corpus:
             assert len(convex_indices(t)) == t.n // 2
-            assert len(reflex_indices(t)) == t.n // 2
+            assert len([i for i, c in enumerate(t.classes) if c.is_reflex]) == t.n // 2
 
     def test_within_class_x_strictly_increasing(self, corpus):
         for t in corpus:

@@ -1,8 +1,11 @@
-"""Byte-for-byte regression check of reports and matrix dumps.
+"""Byte-for-byte regression check of reports, matrix dumps and terrain text.
 
-The digests were recorded from the bitmask-row implementation of the cover
-matrix, so any change to the visibility sweep, the matrix layout or the
-greedy scan that alters a single assigned guard or matrix entry fails here.
+The report and matrix digests were recorded from the bitmask-row
+implementation of the cover matrix, so any change to the visibility sweep,
+the matrix layout or the greedy scan that alters a single assigned guard or
+matrix entry fails here.  The serialize digest was recorded from the
+``Point``-per-vertex terrain, before serialize was rewritten over the
+coordinate tuples.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from terrainguard import (
     descending_staircase,
     format_matrix,
     random_terrain,
+    serialize,
     solve,
     valley_comb,
     visibility_relation,
@@ -23,6 +27,7 @@ from terrainguard.cli import format_report
 
 REPORT_DIGEST = "e8a441339d845668fdc6574a77c63fde02bdfb40dc640b578607050d4c386e09"
 MATRIX_DIGEST = "5fb64d10370f63b3c39c6b6d77f6d32994b7e79e4891e314407669735040f6b5"
+SERIALIZE_DIGEST = "271cf2d415e462e2697ee4b5e93a074e73048fbf8532a407c2b08a9385ffff4a"
 
 
 def golden_corpus():
@@ -47,3 +52,10 @@ def test_reports_and_matrix_dumps_are_unchanged():
             matrices.update(format_matrix(build(t, visibility_relation(t))).encode())
     assert reports.hexdigest() == REPORT_DIGEST
     assert matrices.hexdigest() == MATRIX_DIGEST
+
+
+def test_serialized_terrains_are_unchanged():
+    texts = hashlib.sha256()
+    for t in golden_corpus():
+        texts.update(serialize(t).encode())
+    assert texts.hexdigest() == SERIALIZE_DIGEST

@@ -85,7 +85,7 @@ class TestSees:
         for t in corpus:
             for a in range(t.n):
                 for b in range(a + 1, t.n):
-                    assert sees(t, a, b) == oracle_sees(t, a, b), (t.vertices, a, b)
+                    assert sees(t, a, b) == oracle_sees(t, a, b), ((t.xs, t.ys), a, b)
 
 
 class TestCandidateGuards:
@@ -111,7 +111,7 @@ class TestCandidateGuards:
     def test_equals_unpruned_oracle_on_corpus(self, corpus):
         for t in corpus:
             for c in convex_indices(t):
-                assert candidate_guards(t, c) == oracle_candidates(t, c), (t.vertices, c)
+                assert candidate_guards(t, c) == oracle_candidates(t, c), ((t.xs, t.ys), c)
 
 
 class TestVisibilityRelation:
