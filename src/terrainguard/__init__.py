@@ -9,16 +9,7 @@ totally balanced, so a one-pass greedy returns a provably minimum cover in
 polynomial time; a brute-force oracle double-checks it at desk scale.
 """
 
-from .covermatrix import (
-    CoverMatrix,
-    TooLarge,
-    Violation,
-    build,
-    find_greedy_form_violation,
-    format_matrix,
-    is_standard_greedy_form,
-    is_totally_balanced_bruteforce,
-)
+from .covermatrix import CoverMatrix, Violation, build, find_greedy_form_violation, format_matrix
 from .generator import BoundsExceeded, GenSpec, SplitMix64, descending_staircase, random_terrain, valley_comb
 from .geometry import (
     COORD_LIMIT,
@@ -70,7 +61,6 @@ __all__ = [
     "SplitMix64",
     "Terrain",
     "TooFewVertices",
-    "TooLarge",
     "TooManyColumns",
     "ValidationError",
     "VertexClass",
@@ -86,8 +76,6 @@ __all__ = [
     "find_greedy_form_violation",
     "format_matrix",
     "greedy_cover",
-    "is_standard_greedy_form",
-    "is_totally_balanced_bruteforce",
     "parse",
     "random_terrain",
     "sees",

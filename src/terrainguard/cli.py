@@ -21,9 +21,8 @@ from .solver import (
     EmptyRow,
     GuardSolution,
     InfeasibilityReport,
-    TooManyColumns,
     brute_force_optimum,
-    solve,
+    solve_matrix,
 )
 from .svg import emit_svg
 from .terrain_io import ParseError, parse
@@ -33,6 +32,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_ORACLE_MISMATCH = 3
+
+MAX_RANDOM_STEPS = 100_000  # n = 200k vertices
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -45,7 +46,8 @@ def _parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--random",
         metavar="SEED:STEPS",
-        help="solve a generated terrain (SplitMix64 seed, number of vertical edges)",
+        help="solve a generated terrain (SplitMix64 seed, number of vertical edges, "
+        f"at most {MAX_RANDOM_STEPS})",
     )
     p.add_argument(
         "--allow-partial",
@@ -73,6 +75,8 @@ def _load_terrain(args: argparse.Namespace) -> Terrain:
         spec = GenSpec(seed=int(seed_s), steps=int(steps_s))
     except ValueError as exc:
         raise ValueError(f"--random expects SEED:STEPS, got {args.random!r} ({exc})") from exc
+    if spec.steps > MAX_RANDOM_STEPS:
+        raise ValueError(f"--random allows at most {MAX_RANDOM_STEPS} steps, got {spec.steps}")
     return random_terrain(spec)
 
 
@@ -127,8 +131,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    result = solve(terrain, allow_partial=args.allow_partial)
-    m = build(terrain, visibility_relation(terrain)) if args.oracle or args.matrix else None
+    m = build(terrain, visibility_relation(terrain))
+    result = solve_matrix(m, args.allow_partial)
 
     oracle_code = EXIT_OK
     oracle_line = None

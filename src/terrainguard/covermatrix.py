@@ -19,16 +19,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from operator import ge
 from typing import NamedTuple, Sequence
 
 from .geometry import Terrain, VertexClass
 from .visibility import VisibilityRelation
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class Violation(NamedTuple):
@@ -82,13 +77,8 @@ class CoverMatrix:
         return tuple(dense)
 
     @classmethod
-    def from_entries(
-        cls,
-        entries: Sequence[Sequence[int]],
-        row_labels: Sequence[int] | None = None,
-        col_labels: Sequence[int] | None = None,
-    ) -> "CoverMatrix":
-        """Build from a dense 0/1 list of lists; labels default to positions.
+    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "CoverMatrix":
+        """Build from a dense 0/1 list of lists; labels are the positions.
 
         Intended for direct experiments with explicit matrices; terrains go
         through ``build`` instead.
@@ -100,11 +90,7 @@ class CoverMatrix:
         if any(v not in (0, 1) for row in entries for v in row):
             raise ValueError("entries must be 0 or 1")
         rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
-        rl = tuple(row_labels) if row_labels is not None else tuple(range(len(entries)))
-        cl = tuple(col_labels) if col_labels is not None else tuple(range(width))
-        if len(rl) != len(entries) or len(cl) != width:
-            raise ValueError("label length mismatch")
-        return cls(rows, rl, cl)
+        return cls(rows, tuple(range(len(entries))), tuple(range(width)))
 
 
 def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
@@ -118,11 +104,15 @@ def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
     # chain order is x order within a class, so reversing flips left/right
     row_labels = tuple(rc + lc[::-1])
     col_labels = tuple(rr[::-1] + lr)
-    col_pos = {g: j for j, g in enumerate(col_labels)}
-    row_pos = {c: i for i, c in enumerate(row_labels)}
+    # a vertex is a row or a column, never both: one list maps both
+    pos = [0] * t.n
+    for j, g in enumerate(col_labels):
+        pos[g] = j
+    for i, c in enumerate(row_labels):
+        pos[c] = i
     rows: list[list[int]] = [[] for _ in row_labels]
     for g, c in rel.pairs:
-        rows[row_pos[c]].append(col_pos[g])
+        rows[pos[c]].append(pos[g])
     return CoverMatrix(tuple(map(tuple, map(sorted, rows))), row_labels, col_labels)
 
 
@@ -155,47 +145,6 @@ def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:
                 j2 = next(j for j in right if j not in row)
                 return Violation(i1, i2, j1, j2)
     return None
-
-
-def is_standard_greedy_form(m: CoverMatrix) -> bool:
-    """No induced [[1,1],[1,0]] over any increasing row and column pair."""
-
-    return find_greedy_form_violation(m) is None
-
-
-def is_totally_balanced_bruteforce(m: CoverMatrix) -> bool:
-    """Exponential check that no square submatrix is a cycle incidence
-    pattern: every row and column sum equal to 2 with no repeated columns.
-    Desk-scale only; guarded to min(k, k') <= 8.
-
-    The repeated-column exclusion matters: without it the all-ones 2x2
-    (two guards seeing the same two targets, which real terrains produce
-    all the time) would count as a violation, yet such a matrix is still
-    coverable greedily and is totally balanced under the definition the
-    greedy-form equivalence theorem actually relies on.
-    """
-
-    k, kp = m.k, m.k_prime
-    if min(k, kp) > 8:
-        raise TooLarge(f"brute-force balance check limited to min(k, k') <= 8, got {min(k, kp)}")
-    dense = m.entries
-    # size 2 can never qualify: row and column sums of 2 force the all-ones
-    # 2x2, whose columns are identical
-    for s in range(3, min(k, kp) + 1):
-        for rows in combinations(range(k), s):
-            profiles = {
-                j: tuple(dense[i][j] for i in rows)
-                for j in range(kp)
-                if sum(dense[i][j] for i in rows) == 2
-            }
-            if len(profiles) < s:
-                continue
-            for cols in combinations(sorted(profiles), s):
-                if len({profiles[j] for j in cols}) != s:
-                    continue
-                if all(sum(profiles[j][r] for j in cols) == 2 for r in range(s)):
-                    return False
-    return True
 
 
 def format_matrix(m: CoverMatrix) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import COORD_LIMIT, Terrain, validate
+from .geometry import COORD_LIMIT, Terrain
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,15 +69,17 @@ def random_terrain(spec: GenSpec) -> Terrain:
 
     rng = SplitMix64(spec.seed)
     x = y = 0
-    pts = [(0, 0)]
+    xs, ys = [0], [0]
     for s in range(spec.steps):
         magnitude = 1 + rng.next() % spec.max_rise
         y += -magnitude if rng.next() & 1 else magnitude
-        pts.append((x, y))
+        xs.append(x)
+        ys.append(y)
         if s < spec.steps - 1:
             x += 1 + rng.next() % spec.max_run
-            pts.append((x, y))
-    return validate(pts)
+            xs.append(x)
+            ys.append(y)
+    return Terrain(xs, ys)
 
 
 def descending_staircase(k: int, run: int = 3, drop: int = 2) -> Terrain:
@@ -92,14 +94,16 @@ def descending_staircase(k: int, run: int = 3, drop: int = 2) -> Terrain:
     if run < 1 or drop < 1:
         raise ValueError("run and drop must be >= 1")
     x = y = 0
-    pts = [(0, 0)]
+    xs, ys = [0], [0]
     for s in range(k):
         y -= drop
-        pts.append((x, y))
+        xs.append(x)
+        ys.append(y)
         if s < k - 1:
             x += run
-            pts.append((x, y))
-    return validate(pts)
+            xs.append(x)
+            ys.append(y)
+    return Terrain(xs, ys)
 
 
 def valley_comb(m: int, width: int = 10, depth: int = 10, gap: int = 5) -> Terrain:
@@ -114,11 +118,13 @@ def valley_comb(m: int, width: int = 10, depth: int = 10, gap: int = 5) -> Terra
         raise ValueError(f"m must be >= 1, got {m}")
     if width < 1 or depth < 1 or gap < 1:
         raise ValueError("width, depth and gap must be >= 1")
-    pts: list[tuple[int, int]] = []
+    xs: list[int] = []
+    ys: list[int] = []
     x = 0
     for i in range(m):
         if i:
             x += gap
-        pts += [(x, depth), (x, 0), (x + width, 0), (x + width, depth)]
+        xs += [x, x, x + width, x + width]
+        ys += [depth, 0, 0, depth]
         x += width
-    return validate(pts)
+    return Terrain(xs, ys)

@@ -85,14 +85,6 @@ class VertexClass(Enum):
     def is_reflex(self) -> bool:
         return not self.is_convex
 
-    @property
-    def is_left(self) -> bool:
-        return self in (VertexClass.LEFT_CONVEX, VertexClass.LEFT_REFLEX)
-
-    @property
-    def is_right(self) -> bool:
-        return not self.is_left
-
 
 # indexed [i & 1][is reflex]; see Terrain.__post_init__
 _CLASS_BY_PARITY = (
@@ -130,9 +122,6 @@ class Terrain:
 
     @property
     def n(self) -> int:
-        return len(self.xs)
-
-    def __len__(self) -> int:
         return len(self.xs)
 
 

@@ -30,9 +30,8 @@ BRUTE_FORCE_COLUMN_LIMIT = 25
 class EmptyRow(ValueError):
     """Row ``row`` (labelled ``label``) has no one: no guard covers it."""
 
-    def __init__(self, row: int, label: int | None = None):
-        name = f"row {row}" if label is None else f"row {row} (vertex {label})"
-        super().__init__(f"{name} has no covering column")
+    def __init__(self, row: int, label: int):
+        super().__init__(f"row {row} (vertex {label}) has no covering column")
         self.row = row
         self.label = label
 
@@ -162,7 +161,12 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     iteration order.
     """
 
-    m = build(t, visibility_relation(t))
+    return solve_matrix(build(t, visibility_relation(t)), allow_partial)
+
+
+def solve_matrix(m: CoverMatrix, allow_partial: bool) -> GuardSolution | InfeasibilityReport:
+    """``solve`` from the terrain's cover matrix, for callers that built it already."""
+
     unguardable = tuple(sorted(c for c, row in zip(m.row_labels, m.rows) if not row))
     if unguardable and not allow_partial:
         return InfeasibilityReport(unguardable)

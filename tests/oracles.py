@@ -4,8 +4,8 @@ Everything here deliberately avoids the formulations used by the package:
 visibility is decided by evaluating the terrain's height profile with exact
 rationals instead of chain-order orientation tests, classification by probing
 which quadrants around a vertex lie above the terrain, covers by exhaustive
-subset search over dense matrices, and the forbidden-pattern check by the
-literal four-index loop.
+subset search over dense matrices, the forbidden-pattern check by the
+literal four-index loop, and total balance by enumerating square submatrices.
 """
 
 from __future__ import annotations
@@ -136,3 +136,38 @@ def oracle_greedy_form_violation(entries: list[list[int]]):
                     ):
                         return (i1, i2, j1, j2)
     return None
+
+
+def oracle_totally_balanced(entries: list[list[int]]) -> bool:
+    """Exponential check that no square submatrix is a cycle incidence
+    pattern: every row and column sum equal to 2 with no repeated columns.
+    Desk-scale only; guarded to min(k, k') <= 8.
+
+    The repeated-column exclusion matters: without it the all-ones 2x2
+    (two guards seeing the same two targets, which real terrains produce
+    all the time) would count as a violation, yet such a matrix is still
+    coverable greedily and is totally balanced under the definition the
+    greedy-form equivalence theorem actually relies on.
+    """
+
+    k = len(entries)
+    kp = len(entries[0]) if k else 0
+    if min(k, kp) > 8:
+        raise ValueError(f"brute-force balance check limited to min(k, k') <= 8, got {min(k, kp)}")
+    # size 2 can never qualify: row and column sums of 2 force the all-ones
+    # 2x2, whose columns are identical
+    for s in range(3, min(k, kp) + 1):
+        for rows in combinations(range(k), s):
+            profiles = {
+                j: tuple(entries[i][j] for i in rows)
+                for j in range(kp)
+                if sum(entries[i][j] for i in rows) == 2
+            }
+            if len(profiles) < s:
+                continue
+            for cols in combinations(sorted(profiles), s):
+                if len({profiles[j] for j in cols}) != s:
+                    continue
+                if all(sum(profiles[j][r] for j in cols) == 2 for r in range(s)):
+                    return False
+    return True

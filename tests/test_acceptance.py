@@ -30,8 +30,6 @@ from terrainguard import (
     descending_staircase,
     emit_svg,
     find_greedy_form_violation,
-    is_standard_greedy_form,
-    is_totally_balanced_bruteforce,
     parse,
     random_terrain,
     sees,
@@ -40,6 +38,7 @@ from terrainguard import (
     valley_comb,
     visibility_relation,
 )
+from tests.oracles import oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX
 LC = VertexClass.LEFT_CONVEX
@@ -127,7 +126,7 @@ def test_criterion_2_built_matrices_in_greedy_form(main_corpus, comb_corpus, lar
     checked = 0
     for t in main_corpus + comb_corpus + large_corpus:
         m = build(t, visibility_relation(t))
-        assert is_standard_greedy_form(m) is True, (t.xs, t.ys)
+        assert find_greedy_form_violation(m) is None, (t.xs, t.ys)
         checked += 1
     _report(2, f"zero forbidden patterns over {checked} built matrices (steps up to 200)")
 
@@ -137,10 +136,10 @@ def test_criterion_3_totally_balanced_cross_check(main_corpus):
     for t in main_corpus:
         if t.n // 2 <= 8:
             m = build(t, visibility_relation(t))
-            assert is_totally_balanced_bruteforce(m) is True, (t.xs, t.ys)
+            assert oracle_totally_balanced(m.entries) is True, (t.xs, t.ys)
             checked += 1
-    three_cycle = CoverMatrix.from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    assert is_totally_balanced_bruteforce(three_cycle) is False
+    three_cycle = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert oracle_totally_balanced(three_cycle) is False
     forbidden = CoverMatrix.from_entries([[1, 1], [1, 0]])
     assert find_greedy_form_violation(forbidden) == Violation(0, 1, 0, 1)
     _report(3, f"{checked} small built matrices balanced; 3-cycle and forbidden pattern detected")

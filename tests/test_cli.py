@@ -4,8 +4,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import terrainguard.cli as cli_module
+import terrainguard.solver as solver_module
 from terrainguard import serialize, validate
-from terrainguard.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, EXIT_ORACLE_MISMATCH, run
+from terrainguard.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INPUT_ERROR,
+    EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
+    MAX_RANDOM_STEPS,
+    run,
+)
 from tests.conftest import SINGLE_STEP_UP, SQUARE_VALLEY
 from tests.test_solver import MIXED_FEASIBILITY
 
@@ -16,6 +25,27 @@ guard 0 0 10 RR
 guard 3 10 10 LR
 assign 1 <- 3
 assign 2 <- 0
+"""
+
+# no reflex vertex of this seeded terrain sees a convex one
+RANDOM_5_6_REPORT = """\
+cols: 10 8 6 4 2 1
+row 0: 000000
+row 11: 000000
+row 9: 000000
+row 7: 000000
+row 5: 000000
+row 3: 000000
+status: partial
+guards: 0
+unguardable: 6
+unguardable 0 0 0 RC
+unguardable 3 4 -1 LC
+unguardable 5 11 -11 LC
+unguardable 7 12 -17 LC
+unguardable 9 17 -21 LC
+unguardable 11 19 -28 LC
+oracle: match (infeasible)
 """
 
 
@@ -72,8 +102,6 @@ class TestRun:
         assert "oracle: match (infeasible)" in capsys.readouterr().out
 
     def test_oracle_mismatch_exits_three(self, valley_file, capsys, monkeypatch):
-        import terrainguard.cli as cli_module
-
         monkeypatch.setattr(cli_module, "brute_force_optimum", lambda m: (99, ()))
         assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
         captured = capsys.readouterr()
@@ -125,6 +153,28 @@ class TestRun:
         path = tmp_path / "bad.txt"
         path.write_text("2\n0 0\n5 5\n")
         assert run(["--input", str(path)]) == EXIT_INPUT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_visibility_is_computed_once(self, capsys, monkeypatch):
+        calls = []
+        relation = solver_module.visibility_relation
+
+        def counting(t):
+            calls.append(t)
+            return relation(t)
+
+        monkeypatch.setattr(cli_module, "visibility_relation", counting)
+        monkeypatch.setattr(solver_module, "visibility_relation", counting)
+        assert run(["--random", "5:6", "--oracle", "--matrix", "--allow-partial"]) == EXIT_OK
+        assert capsys.readouterr().out == RANDOM_5_6_REPORT
+        assert len(calls) == 1
+
+    def test_random_steps_are_capped(self, capsys, monkeypatch):
+        def never(spec):
+            raise AssertionError(f"generated {spec.steps} steps past the cap")
+
+        monkeypatch.setattr(cli_module, "random_terrain", never)
+        assert run(["--random", f"1:{MAX_RANDOM_STEPS + 1}"]) == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
     def test_bad_random_argument(self, capsys):

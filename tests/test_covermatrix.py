@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 
 from terrainguard import (
     CoverMatrix,
-    TooLarge,
     VertexClass,
     Violation,
     build,
     find_greedy_form_violation,
     format_matrix,
-    is_standard_greedy_form,
-    is_totally_balanced_bruteforce,
     visibility_relation,
 )
-from tests.oracles import oracle_greedy_form_violation
+from tests.oracles import oracle_greedy_form_violation, oracle_totally_balanced
 
 FORBIDDEN = [[1, 1], [1, 0]]
 CLEAN = [[1, 1], [0, 1]]
@@ -76,7 +73,7 @@ class TestBuild:
             m = build(t, visibility_relation(t))
             for i, c in enumerate(m.row_labels):
                 for j, g in enumerate(m.col_labels):
-                    if t.classes[c].is_left != t.classes[g].is_left:
+                    if c % 2 != g % 2:
                         assert j not in m.rows[i]
 
     def test_entries_match_relation(self, corpus):
@@ -128,11 +125,10 @@ class TestRows:
 class TestStandardGreedyForm:
     def test_forbidden_pattern_itself(self):
         m = CoverMatrix.from_entries(FORBIDDEN)
-        assert is_standard_greedy_form(m) is False
         assert find_greedy_form_violation(m) == Violation(0, 1, 0, 1)
 
     def test_clean_two_by_two(self):
-        assert is_standard_greedy_form(CoverMatrix.from_entries(CLEAN)) is True
+        assert find_greedy_form_violation(CoverMatrix.from_entries(CLEAN)) is None
 
     def test_witness_is_a_real_pattern(self):
         entries = [
@@ -166,33 +162,32 @@ class TestStandardGreedyForm:
     def test_built_matrices_are_clean(self, corpus, medium_corpus):
         for t in corpus + medium_corpus:
             m = build(t, visibility_relation(t))
-            assert is_standard_greedy_form(m) is True
+            assert find_greedy_form_violation(m) is None
 
 
 class TestTotallyBalanced:
     def test_identity(self):
-        assert is_totally_balanced_bruteforce(CoverMatrix.from_entries([[1, 0], [0, 1]]))
+        assert oracle_totally_balanced([[1, 0], [0, 1]])
 
     def test_three_cycle_is_not_balanced(self):
-        assert is_totally_balanced_bruteforce(CoverMatrix.from_entries(THREE_CYCLE)) is False
+        assert oracle_totally_balanced(THREE_CYCLE) is False
 
     def test_size_guard(self):
-        big = CoverMatrix.from_entries([[0] * 9 for _ in range(9)])
-        with pytest.raises(TooLarge):
-            is_totally_balanced_bruteforce(big)
+        with pytest.raises(ValueError):
+            oracle_totally_balanced([[0] * 9 for _ in range(9)])
 
     @given(matrices(5))
     @settings(max_examples=150, deadline=None)
     def test_greedy_form_implies_balanced(self, entries):
         m = CoverMatrix.from_entries(entries)
-        if is_standard_greedy_form(m):
-            assert is_totally_balanced_bruteforce(m) is True
+        if find_greedy_form_violation(m) is None:
+            assert oracle_totally_balanced(m.entries) is True
 
     def test_built_small_matrices_are_balanced(self, corpus):
         for t in corpus:
             if t.n // 2 <= 8:
                 m = build(t, visibility_relation(t))
-                assert is_totally_balanced_bruteforce(m) is True
+                assert oracle_totally_balanced(m.entries) is True
 
 
 class TestFormat:
