@@ -18,7 +18,6 @@ from .generator import GenSpec, random_terrain
 from .geometry import Terrain, ValidationError
 from .solver import (
     BRUTE_FORCE_COLUMN_LIMIT,
-    EmptyRow,
     GuardSolution,
     InfeasibilityReport,
     brute_force_optimum,
@@ -36,34 +35,31 @@ EXIT_ORACLE_MISMATCH = 3
 MAX_RANDOM_STEPS = 100_000  # n = 200k vertices
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="terrainguard",
-        description="exact minimum reflex-vertex guard sets for orthogonal terrains",
-    )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", metavar="FILE", help="terrain file to solve")
-    src.add_argument(
-        "--random",
-        metavar="SEED:STEPS",
-        help="solve a generated terrain (SplitMix64 seed, number of vertical edges, "
-        f"at most {MAX_RANDOM_STEPS})",
-    )
-    p.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help="on infeasible terrains, also cover the guardable subset",
-    )
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check the answer against brute-force search "
-        f"(k' <= {BRUTE_FORCE_COLUMN_LIMIT})",
-    )
-    p.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
-    p.add_argument("--matrix", action="store_true", help="dump the permuted cover matrix")
-    p.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
-    return p
+_PARSER = argparse.ArgumentParser(
+    prog="terrainguard",
+    description="exact minimum reflex-vertex guard sets for orthogonal terrains",
+)
+_source = _PARSER.add_mutually_exclusive_group(required=True)
+_source.add_argument("--input", metavar="FILE", help="terrain file to solve")
+_source.add_argument(
+    "--random",
+    metavar="SEED:STEPS",
+    help="solve a generated terrain (SplitMix64 seed, number of vertical edges, "
+    f"at most {MAX_RANDOM_STEPS})",
+)
+_PARSER.add_argument(
+    "--allow-partial",
+    action="store_true",
+    help="on infeasible terrains, also cover the guardable subset",
+)
+_PARSER.add_argument(
+    "--oracle",
+    action="store_true",
+    help=f"cross-check the answer against brute-force search (k' <= {BRUTE_FORCE_COLUMN_LIMIT})",
+)
+_PARSER.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
+_PARSER.add_argument("--matrix", action="store_true", help="dump the permuted cover matrix")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the report on stdout")
 
 
 def _load_terrain(args: argparse.Namespace) -> Terrain:
@@ -104,21 +100,24 @@ def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> st
 
 
 def _run_oracle(m: CoverMatrix, result: GuardSolution | InfeasibilityReport) -> tuple[int, str]:
-    try:
-        opt, _ = brute_force_optimum(m)
-    except EmptyRow:
-        if isinstance(result, InfeasibilityReport):
-            return EXIT_OK, "oracle: match (infeasible)"
-        return EXIT_ORACLE_MISMATCH, "oracle: MISMATCH (oracle infeasible, solver found a cover)"
-    if isinstance(result, InfeasibilityReport):
+    keep = [i for i, row in enumerate(m.rows) if row]
+    if isinstance(result, GuardSolution) != (len(keep) == m.k):
+        if isinstance(result, GuardSolution):
+            return EXIT_ORACLE_MISMATCH, "oracle: MISMATCH (oracle infeasible, solver found a cover)"
         return EXIT_ORACLE_MISMATCH, "oracle: MISMATCH (solver infeasible, oracle found a cover)"
-    if opt == result.size:
-        return EXIT_OK, f"oracle: match ({result.size} = {opt})"
-    return EXIT_ORACLE_MISMATCH, f"oracle: MISMATCH (greedy {result.size} != optimum {opt})"
+    sol = result if isinstance(result, GuardSolution) else result.partial
+    if sol is None:
+        return EXIT_OK, "oracle: match (infeasible)"
+    # a partial cover is optimal over the guardable rows only
+    rows, labels = tuple(m.rows[i] for i in keep), tuple(m.row_labels[i] for i in keep)
+    opt, _ = brute_force_optimum(CoverMatrix(rows, labels, m.col_labels))
+    if opt == sol.size:
+        return EXIT_OK, f"oracle: match ({sol.size} = {opt})"
+    return EXIT_ORACLE_MISMATCH, f"oracle: MISMATCH (greedy {sol.size} != optimum {opt})"
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         terrain = _load_terrain(args)
     except (OSError, ParseError, ValidationError, ValueError) as exc:
@@ -162,3 +161,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

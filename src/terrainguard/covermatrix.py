@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import ge
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .geometry import Terrain, VertexClass
 from .visibility import VisibilityRelation
@@ -75,22 +75,6 @@ class CoverMatrix:
                 line[j] = 1
             dense.append(tuple(line))
         return tuple(dense)
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "CoverMatrix":
-        """Build from a dense 0/1 list of lists; labels are the positions.
-
-        Intended for direct experiments with explicit matrices; terrains go
-        through ``build`` instead.
-        """
-
-        width = len(entries[0]) if entries else 0
-        if any(len(row) != width for row in entries):
-            raise ValueError("ragged matrix")
-        if any(v not in (0, 1) for row in entries for v in row):
-            raise ValueError("entries must be 0 or 1")
-        rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
-        return cls(rows, tuple(range(len(entries))), tuple(range(width)))
 
 
 def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:

@@ -129,9 +129,10 @@ def validate(raw_points: Iterable[Sequence[int]]) -> Terrain:
     """Build a Terrain from integer ``(x, y)`` pairs, or raise a ValidationError.
 
     Nothing is coerced: each point must be exactly two values, both of type
-    ``int``.  A point of the wrong shape is reported first; otherwise the
-    error names the first violated invariant walking the chain left to
-    right, with the vertex index where it occurred.
+    ``int``.  The checks run in this order and the first failure is raised:
+    the shape of each point, the vertex count (at least 2, even), the type
+    and range of every vertex, then the edges left to right.  So a vertex
+    out of range is reported before a bad edge ahead of it.
     """
 
     xs: list[int] = []

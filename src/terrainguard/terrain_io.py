@@ -1,15 +1,15 @@
 """Terrain text format.
 
 A terrain file is a vertex count on the first line followed by one "x y"
-line per vertex in chain order, all decimal integers.  Lines whose first
-non-blank character is '#' are comments and may appear anywhere.  serialize
-always emits the canonical form: no comments, single spaces, trailing
-newline.  parse(serialize(t)) == t for every valid terrain.
+line per vertex in chain order, all ASCII decimal integers.  Lines whose
+first non-blank character is '#' are comments and may appear anywhere.
+serialize always emits the canonical form: no comments, single spaces,
+trailing newline.  parse(serialize(t)) == t for every valid terrain.
 """
 
 from __future__ import annotations
 
-from .geometry import Terrain, validate
+from .geometry import Terrain
 
 
 class ParseError(ValueError):
@@ -20,39 +20,45 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _int(token: str) -> int:
+    # int() also reads '_' separators and non-ASCII digits; the format does not
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return int(token)
+
+
 def parse(text: str) -> Terrain:
     """Read the terrain format; raises ParseError or a ValidationError."""
 
-    numbered = [
-        (ln, s) for ln, s in enumerate(text.splitlines(), start=1)
-        if s.strip() and not s.lstrip().startswith("#")
-    ]
-    total_lines = text.count("\n") + (0 if text.endswith("\n") or not text else 1)
+    lines = text.splitlines()
+    numbered = [(ln, s) for ln, s in enumerate(lines, start=1) if s.lstrip()[:1] not in ("", "#")]
     if not numbered:
         raise ParseError(1, "missing vertex count header")
     header_line, header = numbered[0]
     try:
-        n = int(header.strip())
+        n = _int(header.strip())
     except ValueError:
         raise ParseError(header_line, f"vertex count expected, got {header.strip()!r}") from None
     if n < 0:
         raise ParseError(header_line, f"vertex count must be non-negative, got {n}")
     body = numbered[1:]
-    points: list[tuple[int, int]] = []
+    xs: list[int] = []
+    ys: list[int] = []
     for ln, s in body[:n]:
         tokens = s.split()
         if len(tokens) != 2:
             raise ParseError(ln, f"expected 'x y', got {s.strip()!r}")
         try:
-            points.append((int(tokens[0]), int(tokens[1])))
+            xs.append(_int(tokens[0]))
+            ys.append(_int(tokens[1]))
         except ValueError:
             raise ParseError(ln, f"coordinates must be integers, got {s.strip()!r}") from None
-    if len(points) < n:
-        raise ParseError(total_lines + 1, f"expected {n} vertices, file ends after {len(points)}")
+    if len(xs) < n:
+        raise ParseError(len(lines) + 1, f"expected {n} vertices, file ends after {len(xs)}")
     if len(body) > n:
         ln, s = body[n]
         raise ParseError(ln, f"unexpected content after {n} vertices: {s.strip()!r}")
-    return validate(points)
+    return Terrain(xs, ys)
 
 
 def serialize(t: Terrain) -> str:

@@ -6,14 +6,16 @@ rationals instead of chain-order orientation tests, classification by probing
 which quadrants around a vertex lie above the terrain, covers by exhaustive
 subset search over dense matrices, the forbidden-pattern check by the
 literal four-index loop, and total balance by enumerating square submatrices.
+``matrix_from_entries`` builds a CoverMatrix from such a dense list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
-from terrainguard import Terrain
+from terrainguard import CoverMatrix, Terrain
 
 
 def terrain_height(t: Terrain, x: Fraction) -> Fraction:
@@ -171,3 +173,15 @@ def oracle_totally_balanced(entries: list[list[int]]) -> bool:
                 if all(sum(profiles[j][r] for j in cols) == 2 for r in range(s)):
                     return False
     return True
+
+
+def matrix_from_entries(entries: Sequence[Sequence[int]]) -> CoverMatrix:
+    """CoverMatrix from a dense 0/1 list of lists; labels are the positions."""
+
+    width = len(entries[0]) if entries else 0
+    if any(len(row) != width for row in entries):
+        raise ValueError("ragged matrix")
+    if any(v not in (0, 1) for row in entries for v in row):
+        raise ValueError("entries must be 0 or 1")
+    rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
+    return CoverMatrix(rows, tuple(range(len(entries))), tuple(range(width)))

@@ -15,7 +15,6 @@ from itertools import product
 import pytest
 
 from terrainguard import (
-    CoverMatrix,
     EmptyRow,
     GenSpec,
     GuardSolution,
@@ -38,7 +37,7 @@ from terrainguard import (
     valley_comb,
     visibility_relation,
 )
-from tests.oracles import oracle_totally_balanced
+from tests.oracles import matrix_from_entries, oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX
 LC = VertexClass.LEFT_CONVEX
@@ -106,7 +105,7 @@ def test_criterion_1_exactness_vs_oracle(main_corpus, comb_corpus):
             keep = [i for i, row in enumerate(m.rows) if row]
             if keep:
                 sub_entries = [[int(j in m.rows[i]) for j in range(m.k_prime)] for i in keep]
-                sub = CoverMatrix.from_entries(sub_entries)
+                sub = matrix_from_entries(sub_entries)
                 assert result.partial is not None
                 assert result.partial.size == brute_force_optimum(sub)[0]
             infeasible += 1
@@ -140,7 +139,7 @@ def test_criterion_3_totally_balanced_cross_check(main_corpus):
             checked += 1
     three_cycle = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert oracle_totally_balanced(three_cycle) is False
-    forbidden = CoverMatrix.from_entries([[1, 1], [1, 0]])
+    forbidden = matrix_from_entries([[1, 1], [1, 0]])
     assert find_greedy_form_violation(forbidden) == Violation(0, 1, 0, 1)
     _report(3, f"{checked} small built matrices balanced; 3-cycle and forbidden pattern detected")
 

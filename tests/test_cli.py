@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import terrainguard.cli as cli_module
 import terrainguard.solver as solver_module
-from terrainguard import serialize, validate
+from terrainguard import GuardSolution, InfeasibilityReport, serialize, validate
 from terrainguard.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -45,7 +48,7 @@ unguardable 5 11 -11 LC
 unguardable 7 12 -17 LC
 unguardable 9 17 -21 LC
 unguardable 11 19 -28 LC
-oracle: match (infeasible)
+oracle: match (0 = 0)
 """
 
 
@@ -106,6 +109,30 @@ class TestRun:
         assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
         captured = capsys.readouterr()
         assert "MISMATCH" in captured.err
+
+    def test_oracle_checks_partial_covers(self, mixed_file, capsys):
+        assert run(["--input", mixed_file, "--oracle", "--allow-partial"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("oracle: match (2 = 2)\n")
+
+    def test_oracle_mismatch_on_partial_cover_exits_three(self, mixed_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "brute_force_optimum", lambda m: (1, (0,)))
+        assert run(["--input", mixed_file, "--oracle", "--allow-partial"]) == EXIT_ORACLE_MISMATCH
+        assert "oracle: MISMATCH (greedy 2 != optimum 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fixture, wrong, message",
+        [
+            ("valley_file", InfeasibilityReport((1,)), "solver infeasible, oracle found a cover"),
+            ("step_file", GuardSolution((), {}), "oracle infeasible, solver found a cover"),
+        ],
+    )
+    def test_oracle_flags_feasibility_disagreement(
+        self, request, capsys, monkeypatch, fixture, wrong, message
+    ):
+        monkeypatch.setattr(cli_module, "solve_matrix", lambda m, allow_partial: wrong)
+        path = request.getfixturevalue(fixture)
+        assert run(["--input", path, "--oracle"]) == EXIT_ORACLE_MISMATCH
+        assert f"oracle: MISMATCH ({message})" in capsys.readouterr().err
 
     def test_oracle_rejects_large_terrains(self, tmp_path, capsys):
         from terrainguard import GenSpec, random_terrain
@@ -185,3 +212,25 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2  # argparse usage error
+
+    def test_parser_is_built_once_per_process(self, valley_file, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run built a second argument parser")
+
+        monkeypatch.setattr(cli_module.argparse, "ArgumentParser", refuse)
+        assert run(["--input", valley_file]) == EXIT_OK
+        assert run(["--input", valley_file]) == EXIT_OK
+        assert capsys.readouterr().out == VALLEY_REPORT * 2
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "terrainguard.cli", "--random", "1:3", "--allow-partial"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("status: ")

@@ -13,7 +13,11 @@ from terrainguard import (
     format_matrix,
     visibility_relation,
 )
-from tests.oracles import oracle_greedy_form_violation, oracle_totally_balanced
+from tests.oracles import (
+    matrix_from_entries,
+    oracle_greedy_form_violation,
+    oracle_totally_balanced,
+)
 
 FORBIDDEN = [[1, 1], [1, 0]]
 CLEAN = [[1, 1], [0, 1]]
@@ -92,14 +96,14 @@ class TestBuild:
 class TestFromEntries:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
-            CoverMatrix.from_entries([[1, 0], [1]])
+            matrix_from_entries([[1, 0], [1]])
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            CoverMatrix.from_entries([[2]])
+            matrix_from_entries([[2]])
 
     def test_default_labels(self):
-        m = CoverMatrix.from_entries(CLEAN)
+        m = matrix_from_entries(CLEAN)
         assert m.row_labels == (0, 1)
         assert m.col_labels == (0, 1)
         assert m.entries == ((1, 1), (0, 1))
@@ -124,11 +128,11 @@ class TestRows:
 
 class TestStandardGreedyForm:
     def test_forbidden_pattern_itself(self):
-        m = CoverMatrix.from_entries(FORBIDDEN)
+        m = matrix_from_entries(FORBIDDEN)
         assert find_greedy_form_violation(m) == Violation(0, 1, 0, 1)
 
     def test_clean_two_by_two(self):
-        assert find_greedy_form_violation(CoverMatrix.from_entries(CLEAN)) is None
+        assert find_greedy_form_violation(matrix_from_entries(CLEAN)) is None
 
     def test_witness_is_a_real_pattern(self):
         entries = [
@@ -137,7 +141,7 @@ class TestStandardGreedyForm:
             [0, 1, 1, 1, 0],
             [1, 1, 0, 1, 0],
         ]
-        m = CoverMatrix.from_entries(entries)
+        m = matrix_from_entries(entries)
         v = find_greedy_form_violation(m)
         assert v is not None
         assert v.i1 < v.i2 and v.j1 < v.j2
@@ -149,7 +153,7 @@ class TestStandardGreedyForm:
     @given(matrices())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_quadruple_loop_oracle(self, entries):
-        m = CoverMatrix.from_entries(entries)
+        m = matrix_from_entries(entries)
         got = find_greedy_form_violation(m)
         expected = oracle_greedy_form_violation(entries)
         assert (got is None) == (expected is None)
@@ -179,7 +183,7 @@ class TestTotallyBalanced:
     @given(matrices(5))
     @settings(max_examples=150, deadline=None)
     def test_greedy_form_implies_balanced(self, entries):
-        m = CoverMatrix.from_entries(entries)
+        m = matrix_from_entries(entries)
         if find_greedy_form_violation(m) is None:
             assert oracle_totally_balanced(m.entries) is True
 

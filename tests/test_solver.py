@@ -21,7 +21,7 @@ from terrainguard import (
     validate,
     visibility_relation,
 )
-from tests.oracles import oracle_candidates, oracle_min_cover
+from tests.oracles import matrix_from_entries, oracle_candidates, oracle_min_cover
 from tests.test_covermatrix import matrices
 
 # single unguardable step followed by a guardable valley
@@ -30,11 +30,11 @@ MIXED_FEASIBILITY = [(0, 0), (0, 10), (5, 10), (5, 4), (9, 4), (9, 12)]
 
 class TestGreedyCover:
     def test_identity(self):
-        m = CoverMatrix.from_entries([[1, 0], [0, 1]])
+        m = matrix_from_entries([[1, 0], [0, 1]])
         assert greedy_cover(m) == {0, 1}
 
     def test_rightmost_column_wins(self):
-        m = CoverMatrix.from_entries([[1, 1], [0, 1]])
+        m = matrix_from_entries([[1, 1], [0, 1]])
         assert greedy_cover(m) == {1}
 
     def test_square_valley_matrix(self, square_valley):
@@ -44,15 +44,15 @@ class TestGreedyCover:
 
     def test_empty_row_raises(self):
         with pytest.raises(EmptyRow) as exc:
-            greedy_cover(CoverMatrix.from_entries([[1, 0], [0, 0]]))
+            greedy_cover(matrix_from_entries([[1, 0], [0, 0]]))
         assert exc.value.row == 1
 
     def test_forbidden_pattern_raises(self):
         with pytest.raises(NotGreedyForm):
-            greedy_cover(CoverMatrix.from_entries([[1, 1], [1, 0]]))
+            greedy_cover(matrix_from_entries([[1, 1], [1, 0]]))
 
     def test_form_check_can_be_skipped(self):
-        got = greedy_cover(CoverMatrix.from_entries([[1, 1], [1, 0]]), check_form=False)
+        got = greedy_cover(matrix_from_entries([[1, 1], [1, 0]]), check_form=False)
         assert got == {1, 0}  # suboptimal on purpose: the matrix is not in form
 
     def test_matches_oracle_on_built_matrices(self, corpus):
@@ -69,7 +69,7 @@ class TestGreedyCover:
     def test_matches_oracle_on_random_greedy_form_matrices(self, entries):
         if any(not any(row) for row in entries):
             return
-        m = CoverMatrix.from_entries(entries)
+        m = matrix_from_entries(entries)
         if find_greedy_form_violation(m) is not None:
             return
         assert len(greedy_cover(m)) == oracle_min_cover(entries)
@@ -95,28 +95,28 @@ class TestGreedyCover:
 
 class TestBruteForce:
     def test_identity_three(self):
-        assert brute_force_optimum(CoverMatrix.from_entries([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (
+        assert brute_force_optimum(matrix_from_entries([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (
             3,
             (0, 1, 2),
         )
 
     def test_all_ones_needs_one(self):
-        m = CoverMatrix.from_entries([[1] * 6 for _ in range(4)])
+        m = matrix_from_entries([[1] * 6 for _ in range(4)])
         assert brute_force_optimum(m) == (1, (0,))
 
     def test_three_cycle_needs_two(self):
         size, witness = brute_force_optimum(
-            CoverMatrix.from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+            matrix_from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         )
         assert size == 2
         assert witness == (0, 1)  # lexicographically smallest of the optima
 
     def test_empty_row(self):
         with pytest.raises(EmptyRow):
-            brute_force_optimum(CoverMatrix.from_entries([[0, 1], [0, 0]]))
+            brute_force_optimum(matrix_from_entries([[0, 1], [0, 0]]))
 
     def test_column_limit(self):
-        m = CoverMatrix.from_entries([[1] * 26])
+        m = matrix_from_entries([[1] * 26])
         with pytest.raises(TooManyColumns):
             brute_force_optimum(m)
 

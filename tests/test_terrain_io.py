@@ -54,6 +54,34 @@ class TestParse:
     def test_missing_final_newline_accepted(self, square_valley):
         assert parse(SQUARE_VALLEY_TEXT.rstrip("\n")) == square_valley
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_carriage_return_line_ends(self, square_valley, newline):
+        assert parse(SQUARE_VALLEY_TEXT.replace("\n", newline)) == square_valley
+        with pytest.raises(ParseError) as exc:
+            parse(newline.join(["3", "0 0", "0 5", ""]))
+        assert exc.value.line == 4
+
+    def test_signs_and_surrounding_blanks_accepted(self, square_valley):
+        assert parse(" +4 \n\t0 +10\n-0 0 \n 10  -0\n+10 10\n") == square_valley
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1_0\n", 1), ("4\n0 1_0\n0 0\n10 0\n10 10\n", 2)],
+    )
+    def test_rejects_underscore_separators(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("\u0664\n", 1), ("4\n0 10\n0 0\n\u0661\u0660 0\n10 10\n", 4)],
+    )
+    def test_rejects_non_ascii_digits(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+
 
 class TestSerialize:
     def test_square_valley(self, square_valley):
