@@ -3,8 +3,9 @@
 Reads a terrain from a file or generates one from a seed, prints a
 line-oriented solution report, and signals the outcome through the exit
 code: 0 solved (optimal, or partial when --allow-partial asked for it),
-1 input error, 2 infeasible without --allow-partial, 3 the brute-force
-oracle disagreed with the solver (a bug, never expected).
+1 input error, 2 infeasible without --allow-partial, 3 the --oracle
+checks (pairwise visibility, brute-force optimum) disagreed with the
+solver (a bug, never expected).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .solver import (
 )
 from .svg import emit_svg
 from .terrain_io import ParseError, parse
-from .visibility import visibility_relation
+from .visibility import candidate_guards, visibility_relation
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -55,7 +56,8 @@ _PARSER.add_argument(
 _PARSER.add_argument(
     "--oracle",
     action="store_true",
-    help=f"cross-check the answer against brute-force search (k' <= {BRUTE_FORCE_COLUMN_LIMIT})",
+    help="cross-check visibility pairwise and the answer by brute-force search "
+    f"(k' <= {BRUTE_FORCE_COLUMN_LIMIT})",
 )
 _PARSER.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
 _PARSER.add_argument("--matrix", action="store_true", help="dump the permuted cover matrix")
@@ -99,7 +101,13 @@ def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> st
     return "\n".join(lines) + "\n"
 
 
-def _run_oracle(m: CoverMatrix, result: GuardSolution | InfeasibilityReport) -> tuple[int, str]:
+def _run_oracle(
+    t: Terrain, m: CoverMatrix, result: GuardSolution | InfeasibilityReport
+) -> tuple[int, str]:
+    # the pairwise test behind candidate_guards is independent of the sweep
+    for c, row in zip(m.row_labels, m.rows):
+        if {m.col_labels[j] for j in row} != set(candidate_guards(t, c)):
+            return EXIT_ORACLE_MISMATCH, f"oracle: MISMATCH (visibility of vertex {c})"
     keep = [i for i, row in enumerate(m.rows) if row]
     if isinstance(result, GuardSolution) != (len(keep) == m.k):
         if isinstance(result, GuardSolution):
@@ -136,7 +144,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     oracle_code = EXIT_OK
     oracle_line = None
     if args.oracle:
-        oracle_code, oracle_line = _run_oracle(m, result)
+        oracle_code, oracle_line = _run_oracle(terrain, m, result)
 
     if not args.quiet:
         if args.matrix:

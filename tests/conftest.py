@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from terrainguard import GenSpec, Terrain, random_terrain, validate
 
@@ -23,6 +24,46 @@ def single_step_up() -> Terrain:
 @pytest.fixture
 def blocked_ledge() -> Terrain:
     return validate(BLOCKED_LEDGE)
+
+
+def ascending_staircase(steps: int) -> Terrain:
+    """Unit steps up (run 1, rise 1): every target looks left at lower ground."""
+
+    return validate([p for k in range(steps) for p in ((k, k), (k, k + 1))])
+
+
+def tooth_wall_spike(m: int, ascent: int) -> Terrain:
+    """Adversary for chain sweeps: m teeth of heights 0/1, a wall of height
+    4m + 4, ``ascent`` unit steps rising above the wall, then a spike.
+
+    Every tooth bottom looks right past the wall; the ascent stays below the
+    wall's sightline, yet each of its steps is a new highest vertex, so every
+    tooth's chain visits all of them before the spike.  Pairs are O(m), hops
+    are Theta(m * ascent).
+    """
+
+    wall = 4 * m + 4
+    heights = [1, 0] * m + [wall] + [wall + 1 + j for j in range(ascent)]
+    heights.append(wall * (2 * m + ascent + 4))  # steeper from every tooth than the wall
+    pts = []
+    for k in range(len(heights) - 1):
+        pts += [(k, heights[k]), (k, heights[k + 1])]
+    return validate(pts)
+
+
+@st.composite
+def terrains(draw, max_steps: int = 30) -> Terrain:
+    """Random terrains with short runs and small rises, so equal heights,
+    collinear vertices and blocked sightlines are common."""
+
+    rises = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=max_steps))
+    runs = draw(st.lists(st.integers(1, 3), min_size=len(rises), max_size=len(rises)))
+    x, y = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    pts = []
+    for rise, run in zip(rises, runs):
+        pts += [(x, y), (x, y + rise)]
+        x, y = x + run, y + rise
+    return validate(pts)
 
 
 def small_corpus(count: int = 120, max_steps: int = 8, seed0: int = 1000) -> list[Terrain]:

@@ -37,6 +37,7 @@ from terrainguard import (
     valley_comb,
     visibility_relation,
 )
+from tests.conftest import ascending_staircase
 from tests.oracles import matrix_from_entries, oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX
@@ -254,3 +255,18 @@ def test_criterion_9_scale_smoke():
         else result.partial.size if result.partial else 0
     )
     _report(9, f"solve on n=10000 finished in {elapsed:.2f}s ({covered} guards chosen)")
+
+
+@pytest.mark.parametrize(
+    "family, make",
+    [("ascending", ascending_staircase), ("descending", descending_staircase)],
+)
+def test_criterion_9_staircase_visibility_smoke(family, make):
+    # a vertex-by-vertex sweep never stops early on either staircase
+    t = make(20_000)
+    assert t.n == 40_000
+    started = time.monotonic()
+    pairs = visibility_relation(t).pairs
+    elapsed = time.monotonic() - started
+    assert elapsed < 10, f"criterion 9 exceeded its 10s budget: {elapsed:.1f}s"
+    _report(9, f"visibility on the {family} staircase, n=40000: {elapsed:.2f}s, {len(pairs)} pairs")

@@ -134,6 +134,18 @@ class TestRun:
         assert run(["--input", path, "--oracle"]) == EXIT_ORACLE_MISMATCH
         assert f"oracle: MISMATCH ({message})" in capsys.readouterr().err
 
+    def test_oracle_checks_visibility_pairwise(self, valley_file, capsys, monkeypatch):
+        relation = cli_module.visibility_relation
+
+        def drop_first_pair(t):
+            rel = relation(t)
+            return type(rel)(rel.pairs[1:])
+
+        monkeypatch.setattr(cli_module, "visibility_relation", drop_first_pair)
+        assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
+        # the dropped pair (3, 1) leaves target 1 without its guard
+        assert "oracle: MISMATCH (visibility of vertex 1)" in capsys.readouterr().err
+
     def test_oracle_rejects_large_terrains(self, tmp_path, capsys):
         from terrainguard import GenSpec, random_terrain
 

@@ -1,10 +1,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terrainguard import DiagonalEdge, ParseError, parse, serialize, validate
+from tests.conftest import terrains
 
 SQUARE_VALLEY_TEXT = "4\n0 10\n0 0\n10 0\n10 10\n"
+
+# str.splitlines() breaks lines at these, and str.split() treats the ones that
+# are not line breaks as blanks; the format knows only ASCII blanks and line ends
+UNICODE_AND_CONTROL_SEPARATORS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680",
+    "\u2000", "\u2003", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+]
+# any non-ASCII character, or an ASCII control character other than tab and line ends
+foreign_characters = st.one_of(
+    st.sampled_from(UNICODE_AND_CONTROL_SEPARATORS),
+    st.characters().filter(lambda ch: not ch.isascii() or not (ch.isprintable() or ch in "\t\n\r")),
+)
 
 
 class TestParse:
@@ -82,6 +97,29 @@ class TestParse:
             parse(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("sep", UNICODE_AND_CONTROL_SEPARATORS)
+    @pytest.mark.parametrize("where", ["header", "blank", "line end"])
+    def test_rejects_each_separator_at_its_line(self, sep, where):
+        lines = SQUARE_VALLEY_TEXT.split("\n")
+        if where == "header":
+            lines[0] += sep
+        elif where == "blank":
+            lines[2] = lines[2].replace(" ", sep)
+        else:
+            lines[2] += sep + lines.pop(3)
+        with pytest.raises(ParseError) as exc:
+            parse("\n".join(lines))
+        assert exc.value.line == (1 if where == "header" else 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terrains(), st.data())
+    def test_rejects_any_foreign_character_inserted(self, t, data):
+        text = serialize(t)
+        at = data.draw(st.integers(0, len(text)), label="at")
+        ch = data.draw(foreign_characters, label="ch")
+        with pytest.raises(ParseError):
+            parse(text[:at] + ch + text[at:])
+
 
 class TestSerialize:
     def test_square_valley(self, square_valley):
@@ -94,6 +132,11 @@ class TestSerialize:
     def test_round_trip_on_corpus(self, corpus):
         for t in corpus:
             assert parse(serialize(t)) == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(terrains())
+    def test_round_trip_property(self, t):
+        assert parse(serialize(t)) == t
 
     def test_negative_coordinates_round_trip(self):
         t = validate([(-5, 3), (-5, -8), (0, -8), (0, -1)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from terrainguard import (
     NotConvex,
@@ -13,6 +14,7 @@ from terrainguard import (
     validate,
     visibility_relation,
 )
+from tests.conftest import ascending_staircase, terrains, tooth_wall_spike
 from tests.oracles import oracle_candidates, oracle_sees
 
 # reconstruction of a terrain with all four classes where the left-reflex
@@ -157,3 +159,47 @@ class TestVisibilityRelation:
                 targets_of.setdefault(g, set()).add(cc.value)
             for sides in targets_of.values():
                 assert len(sides) == 1
+
+
+class TestChainSweepAdversaries:
+    """Families where a vertex-by-vertex walk never stops early, or where
+    the chain sweep still makes many hops per pair."""
+
+    @pytest.mark.parametrize(
+        "t",
+        [ascending_staircase(40), tooth_wall_spike(6, 12)],
+        ids=["ascending-staircase", "tooth-wall-spike"],
+    )
+    def test_matches_oracle_candidates(self, t):
+        rel = by_target(visibility_relation(t))
+        for c in convex_indices(t):
+            assert rel.get(c, ()) == oracle_candidates(t, c), c
+
+    @pytest.mark.parametrize(
+        "t",
+        [ascending_staircase(900), tooth_wall_spike(100, 700)],
+        ids=["ascending-staircase", "tooth-wall-spike"],
+    )
+    def test_matches_candidate_guards(self, t):
+        rel = by_target(visibility_relation(t))
+        for c in convex_indices(t):
+            assert rel.get(c, ()) == candidate_guards(t, c), c
+
+    def test_tooth_bottoms_see_next_top_wall_and_spike(self):
+        m = 5
+        t = tooth_wall_spike(m, 10)
+        wall_top, spike = 4 * m - 1, t.n - 1
+        rel = by_target(visibility_relation(t))
+        bottoms = [c for c in convex_indices(t) if t.classes[c] is VertexClass.LEFT_CONVEX]
+        assert len(bottoms) == m
+        for c in bottoms:
+            # c + 2 is the next tooth's top, or the wall top for the last tooth
+            assert rel[c] == tuple(sorted({c + 2, wall_top, spike}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terrains())
+def test_relation_matches_candidate_guards_on_random_terrains(t):
+    rel = by_target(visibility_relation(t))
+    for c in convex_indices(t):
+        assert rel.get(c, ()) == candidate_guards(t, c), ((t.xs, t.ys), c)
