@@ -78,7 +78,12 @@ class CoverMatrix:
 
 
 def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
-    """Assemble the permuted cover matrix from a terrain's visibility relation."""
+    """Assemble the permuted cover matrix from a terrain's visibility relation.
+
+    This is the one place that fixes the row and column order.  Each row is
+    its target's guards, nearest first, mapped straight to their columns;
+    CoverMatrix rejects a row whose columns do not increase.
+    """
 
     classes = t.classes
     rc = [i for i, c in enumerate(classes) if c is VertexClass.RIGHT_CONVEX]
@@ -88,16 +93,15 @@ def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
     # chain order is x order within a class, so reversing flips left/right
     row_labels = tuple(rc + lc[::-1])
     col_labels = tuple(rr[::-1] + lr)
-    # a vertex is a row or a column, never both: one list maps both
     pos = [0] * t.n
     for j, g in enumerate(col_labels):
         pos[g] = j
-    for i, c in enumerate(row_labels):
-        pos[c] = i
-    rows: list[list[int]] = [[] for _ in row_labels]
-    for g, c in rel.pairs:
-        rows[pos[c]].append(pos[g])
-    return CoverMatrix(tuple(map(tuple, map(sorted, rows))), row_labels, col_labels)
+    # nearest first is increasing column order: right-convex targets walk left
+    # and meet right-reflex guards right to left, as their columns run, and
+    # left-convex ones mirror this; a list, not a generator, sizes rows exactly
+    guards = rel.guards
+    rows = tuple([tuple([pos[g] for g in guards[c]]) for c in row_labels])
+    return CoverMatrix(rows, row_labels, col_labels)
 
 
 def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:

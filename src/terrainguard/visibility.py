@@ -11,7 +11,9 @@ sightline even though no vertex has an x strictly inside the interval.
 
 Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation hops along "next strictly higher vertex" chains and
-costs O(n + hops); hops = Theta(n^2) only on adversarial inputs.
+costs O(n + hops); hops = Theta(n^2) only on adversarial inputs.  It hands
+each convex vertex its guards nearest first, in the order its sweep meets
+them; the flat (guard, target) pairs are derived from those on demand.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
     the result equals the unpruned scan over every reflex vertex.
     """
 
+    if not 0 <= c < t.n:
+        raise IndexError(f"vertex index out of range: {c} with n={t.n}")
     cls = t.classes[c]
     if not cls.is_convex:
         raise NotConvex(f"vertex {c} is {cls.value}, not convex")
@@ -86,13 +90,25 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VisibilityRelation:
-    """All (guard, target) pairs of the terrain, sorted by target then guard."""
+    """The reflex vertices that see each vertex of the terrain.
 
-    pairs: tuple[tuple[int, int], ...]
+    ``guards[c]`` holds the guards of the convex vertex c nearest first, as
+    its chain sweep meets them: decreasing chain index for a right-convex
+    target, increasing for a left-convex one.  It is empty for reflex
+    vertices and for targets no vertex sees.
+    """
+
+    guards: tuple[tuple[int, ...], ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """All (guard, target) pairs, sorted by target then guard."""
+
+        return tuple((g, c) for c, gs in enumerate(self.guards) for g in sorted(gs))
 
 
 def visibility_relation(t: Terrain) -> VisibilityRelation:
-    """Visible (reflex guard, convex target) pairs for the whole terrain.
+    """The guards of every convex vertex of the terrain, nearest first.
 
     Computes "next strictly higher vertex" pointers once in each direction
     (all nearest larger values, two monotone-stack passes), then runs one
@@ -115,17 +131,15 @@ def visibility_relation(t: Terrain) -> VisibilityRelation:
     higher_right = _next_higher(ys, range(len(ys)))
     higher_left = _next_higher(ys, range(len(ys) - 1, -1, -1))
     top_y = max(ys)
-    pairs: list[tuple[int, int]] = []
+    guards: list[tuple[int, ...]] = []
     for c, cls in enumerate(classes):
         if cls is RC:
-            guards = _visible_sweep(mirrored_xs, ys, higher_left, c, -1, top_y)
-            guards.reverse()  # the leftward walk meets guards right to left
+            guards.append(_visible_sweep(mirrored_xs, ys, higher_left, c, -1, top_y))
         elif cls is LC:
-            guards = _visible_sweep(xs, ys, higher_right, c, 1, top_y)
+            guards.append(_visible_sweep(xs, ys, higher_right, c, 1, top_y))
         else:
-            continue
-        pairs.extend((g, c) for g in guards)
-    return VisibilityRelation(tuple(pairs))
+            guards.append(())
+    return VisibilityRelation(tuple(guards))
 
 
 def _next_higher(ys: tuple[int, ...], order: range) -> list[int]:
@@ -149,8 +163,9 @@ def _visible_sweep(
     c: int,
     step: int,
     top_y: int,
-) -> list[int]:
-    """Indices of all vertices visible from the convex vertex c, walking by step.
+) -> tuple[int, ...]:
+    """Indices of all vertices visible from the convex vertex c, walking by
+    step, nearest first.
 
     ``xs`` must increase in the walking direction: the terrain's own x for
     step 1, negated x for step -1, so the geometry is always a rightward
@@ -175,7 +190,7 @@ def _visible_sweep(
     out: list[int] = []
     first = c + step
     if not 0 <= first < len(xs):
-        return out
+        return ()
     ux, uy = xs[first] - xc, ys[first] - yc
     i = higher[first]
     while i >= 0:
@@ -189,4 +204,4 @@ def _visible_sweep(
             out.append(i)
             ux, uy = wx, wy
         i = higher[i]
-    return out
+    return tuple(out)

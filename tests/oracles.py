@@ -7,6 +7,8 @@ which quadrants around a vertex lie above the terrain, covers by exhaustive
 subset search over dense matrices, the forbidden-pattern check by the
 literal four-index loop, and total balance by enumerating square submatrices.
 ``matrix_from_entries`` builds a CoverMatrix from such a dense list.
+``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
+classification, coordinate sorts and the pairwise candidate_guards.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from terrainguard import CoverMatrix, Terrain
+from terrainguard import CoverMatrix, Terrain, candidate_guards
 
 
 def terrain_height(t: Terrain, x: Fraction) -> Fraction:
@@ -103,6 +105,27 @@ def oracle_class(t: Terrain, i: int) -> str:
                 above += 1
     assert above in (1, 3), f"vertex {i}: {above} probe quadrants above"
     return ("L" if side == "L" else "R") + ("C" if above == 1 else "R")
+
+
+def oracle_rows(t: Terrain) -> tuple[tuple[int, ...], ...]:
+    """Rows of the permuted cover matrix without the visibility sweep.
+
+    Rows are right-convex vertices by increasing x, then left-convex ones by
+    decreasing x; columns are right-reflex vertices by decreasing x, then
+    left-reflex ones by increasing x.  Each row lists, in increasing column
+    order, the columns of the reflex vertices that candidate_guards (the
+    pairwise visibility test) reports for its target.
+    """
+
+    codes = [oracle_class(t, i) for i in range(t.n)]
+
+    def by_x(code: str, descending: bool) -> list[int]:
+        found = [i for i, c in enumerate(codes) if c == code]
+        return sorted(found, key=lambda i: -t.xs[i] if descending else t.xs[i])
+
+    targets = by_x("RC", False) + by_x("LC", True)
+    column = {g: j for j, g in enumerate(by_x("RR", True) + by_x("LR", False))}
+    return tuple(tuple(sorted(column[g] for g in candidate_guards(t, c))) for c in targets)
 
 
 def oracle_min_cover(entries: list[list[int]]) -> int | None:

@@ -9,7 +9,15 @@ import pytest
 
 import terrainguard.cli as cli_module
 import terrainguard.solver as solver_module
-from terrainguard import GuardSolution, InfeasibilityReport, serialize, validate
+from terrainguard import (
+    GuardSolution,
+    InfeasibilityReport,
+    VisibilityRelation,
+    serialize,
+    solve,
+    validate,
+    visibility_relation,
+)
 from terrainguard.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -137,14 +145,39 @@ class TestRun:
     def test_oracle_checks_visibility_pairwise(self, valley_file, capsys, monkeypatch):
         relation = cli_module.visibility_relation
 
-        def drop_first_pair(t):
-            rel = relation(t)
-            return type(rel)(rel.pairs[1:])
+        def drop_guards_of_vertex_1(t):
+            guards = list(relation(t).guards)
+            guards[1] = ()
+            return VisibilityRelation(tuple(guards))
 
-        monkeypatch.setattr(cli_module, "visibility_relation", drop_first_pair)
+        monkeypatch.setattr(cli_module, "visibility_relation", drop_guards_of_vertex_1)
         assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
-        # the dropped pair (3, 1) leaves target 1 without its guard
+        # dropping guard 3 leaves target 1 without its guard
         assert "oracle: MISMATCH (visibility of vertex 1)" in capsys.readouterr().err
+
+    def test_pipeline_never_reads_relation_pairs(self, mixed_file, capsys, monkeypatch):
+        t = validate(MIXED_FEASIBILITY)
+        argv = ["--input", mixed_file, "--oracle", "--matrix", "--allow-partial"]
+        expected_solution = solve(t, allow_partial=True)
+        assert run(argv) == EXIT_OK
+        expected_out = capsys.readouterr().out
+
+        reads = []
+        pairs = VisibilityRelation.pairs
+
+        def counted(rel):
+            reads.append(rel)
+            return pairs.fget(rel)
+
+        monkeypatch.setattr(VisibilityRelation, "pairs", property(counted))
+        assert solve(t, allow_partial=True) == expected_solution
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected_out
+        assert reads == []
+        # the counter is live: a direct read is seen
+        rel = visibility_relation(t)
+        assert rel.pairs == pairs.fget(rel)
+        assert reads == [rel]
 
     def test_oracle_rejects_large_terrains(self, tmp_path, capsys):
         from terrainguard import GenSpec, random_terrain

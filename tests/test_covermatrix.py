@@ -13,9 +13,11 @@ from terrainguard import (
     format_matrix,
     visibility_relation,
 )
+from tests.conftest import ascending_staircase, terrains, tooth_wall_spike
 from tests.oracles import (
     matrix_from_entries,
     oracle_greedy_form_violation,
+    oracle_rows,
     oracle_totally_balanced,
 )
 
@@ -91,6 +93,18 @@ class TestBuild:
                 if j in m.rows[i]
             }
             assert pairs == set(rel.pairs)
+
+    def test_rows_match_oracle_on_corpus(self, corpus):
+        for t in corpus:
+            assert build(t, visibility_relation(t)).rows == oracle_rows(t), (t.xs, t.ys)
+
+    @pytest.mark.parametrize(
+        "t",
+        [ascending_staircase(40), tooth_wall_spike(6, 12)],
+        ids=["ascending-staircase", "tooth-wall-spike"],
+    )
+    def test_rows_match_oracle_on_adversaries(self, t):
+        assert build(t, visibility_relation(t)).rows == oracle_rows(t)
 
 
 class TestFromEntries:
@@ -198,3 +212,9 @@ class TestFormat:
     def test_square_valley_dump(self, square_valley):
         m = build(square_valley, visibility_relation(square_valley))
         assert format_matrix(m) == "cols: 0 3\nrow 2: 10\nrow 1: 01\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(terrains())
+def test_rows_match_oracle_on_random_terrains(t):
+    assert build(t, visibility_relation(t)).rows == oracle_rows(t)

@@ -102,6 +102,12 @@ class TestCandidateGuards:
         with pytest.raises(NotConvex):
             candidate_guards(square_valley, 0)
 
+    def test_rejects_out_of_range_indices(self):
+        t = descending_staircase(3)
+        for c in (-1, t.n):
+            with pytest.raises(IndexError):
+                candidate_guards(t, c)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_descending_staircase_bottoms_unguardable(self, k):
         t = descending_staircase(k)
@@ -133,6 +139,20 @@ class TestVisibilityRelation:
             rel = by_target(visibility_relation(t))
             for c in convex_indices(t):
                 assert rel.get(c, ()) == candidate_guards(t, c)
+
+    def test_guards_are_nearest_first_tuples(self, corpus):
+        for t in corpus:
+            guards = visibility_relation(t).guards
+            assert type(guards) is tuple and len(guards) == t.n
+            for c, gs in enumerate(guards):
+                assert type(gs) is tuple
+                if t.classes[c].is_reflex:
+                    assert gs == ()
+                else:
+                    chain = candidate_guards(t, c)
+                    # a right-convex target's sweep walks left
+                    walks_left = t.classes[c] is VertexClass.RIGHT_CONVEX
+                    assert gs == (chain[::-1] if walks_left else chain), ((t.xs, t.ys), c)
 
     def test_sorted_by_target_then_guard(self, corpus):
         for t in corpus:
