@@ -11,6 +11,7 @@ solver (a bug, never expected).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from .solver import (
     solve_matrix,
 )
 from .svg import emit_svg
-from .terrain_io import ParseError, parse
+from .terrain_io import INTEGER, ParseError, parse
 from .visibility import candidate_guards, visibility_relation
 
 EXIT_OK = 0
@@ -34,6 +35,7 @@ EXIT_INFEASIBLE = 2
 EXIT_ORACLE_MISMATCH = 3
 
 MAX_RANDOM_STEPS = 100_000  # n = 200k vertices
+_SEED_STEPS = re.compile(f"({INTEGER}):({INTEGER})")
 
 
 _PARSER = argparse.ArgumentParser(
@@ -46,7 +48,7 @@ _source.add_argument(
     "--random",
     metavar="SEED:STEPS",
     help="solve a generated terrain (SplitMix64 seed, number of vertical edges, "
-    f"at most {MAX_RANDOM_STEPS})",
+    f"at most {MAX_RANDOM_STEPS}; both ASCII integers)",
 )
 _PARSER.add_argument(
     "--allow-partial",
@@ -68,14 +70,13 @@ def _load_terrain(args: argparse.Namespace) -> Terrain:
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as fh:
             return parse(fh.read())
-    try:
-        seed_s, steps_s = args.random.split(":", 1)
-        spec = GenSpec(seed=int(seed_s), steps=int(steps_s))
-    except ValueError as exc:
-        raise ValueError(f"--random expects SEED:STEPS, got {args.random!r} ({exc})") from exc
-    if spec.steps > MAX_RANDOM_STEPS:
-        raise ValueError(f"--random allows at most {MAX_RANDOM_STEPS} steps, got {spec.steps}")
-    return random_terrain(spec)
+    m = _SEED_STEPS.fullmatch(args.random)
+    if m is None:
+        raise ValueError(f"--random expects SEED:STEPS, got {args.random!r}")
+    steps = int(m[2])
+    if steps > MAX_RANDOM_STEPS:
+        raise ValueError(f"--random allows at most {MAX_RANDOM_STEPS} steps, got {steps}")
+    return random_terrain(GenSpec(seed=int(m[1]), steps=steps))
 
 
 def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import ge
 from typing import NamedTuple
 
-from .geometry import Terrain, VertexClass
+from .geometry import LC, LR, RC, RR, Terrain
 from .visibility import VisibilityRelation
 
 
@@ -86,10 +86,10 @@ def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
     """
 
     classes = t.classes
-    rc = [i for i, c in enumerate(classes) if c is VertexClass.RIGHT_CONVEX]
-    lc = [i for i, c in enumerate(classes) if c is VertexClass.LEFT_CONVEX]
-    rr = [i for i, c in enumerate(classes) if c is VertexClass.RIGHT_REFLEX]
-    lr = [i for i, c in enumerate(classes) if c is VertexClass.LEFT_REFLEX]
+    rc = [i for i, c in enumerate(classes) if c is RC]
+    lc = [i for i, c in enumerate(classes) if c is LC]
+    rr = [i for i, c in enumerate(classes) if c is RR]
+    lr = [i for i, c in enumerate(classes) if c is LR]
     # chain order is x order within a class, so reversing flips left/right
     row_labels = tuple(rc + lc[::-1])
     col_labels = tuple(rr[::-1] + lr)

@@ -79,18 +79,21 @@ class VertexClass(Enum):
 
     @property
     def is_convex(self) -> bool:
-        return self in (VertexClass.LEFT_CONVEX, VertexClass.RIGHT_CONVEX)
+        return self is LC or self is RC
 
     @property
     def is_reflex(self) -> bool:
         return not self.is_convex
 
 
+# the members by name: a VertexClass.X lookup is slow in per-vertex loops
+LC = VertexClass.LEFT_CONVEX
+RC = VertexClass.RIGHT_CONVEX
+LR = VertexClass.LEFT_REFLEX
+RR = VertexClass.RIGHT_REFLEX
+
 # indexed [i & 1][is reflex]; see Terrain.__post_init__
-_CLASS_BY_PARITY = (
-    (VertexClass.RIGHT_CONVEX, VertexClass.RIGHT_REFLEX),
-    (VertexClass.LEFT_CONVEX, VertexClass.LEFT_REFLEX),
-)
+_CLASS_BY_PARITY = ((RC, RR), (LC, LR))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,26 @@
 """Terrain text format.
 
 A terrain file is a vertex count on the first line followed by one "x y"
-line per vertex in chain order, all ASCII decimal integers.  Lines end at
-"\n", "\r\n" or "\r", and only ASCII spaces and tabs are blanks: any other
-line break or blank character is an error at its line.  Lines whose first
-non-blank character is '#' are comments and may appear anywhere.
-serialize always emits the canonical form: no comments, single spaces,
-trailing newline.  parse(serialize(t)) == t for every valid terrain.
+line per vertex in chain order.  The header must match _HEADER in full and
+each vertex line _VERTEX_LINE: integers are ASCII decimal digits with an
+optional sign, and blanks are ASCII spaces and tabs; a miss is a
+ParseError at that line.  Lines end at "\n", "\r\n" or "\r" only.  Empty or
+blank lines and lines whose first non-blank character is '#' are comments
+and may appear anywhere.  serialize always emits the canonical form: no
+comments, single spaces, trailing newline.  parse(serialize(t)) == t for
+every valid terrain.
 """
 
 from __future__ import annotations
 
+import re
+
 from .geometry import Terrain
 
-
-_ONLY_ASCII_BLANKS = "values must be separated by ASCII spaces or tabs"
+# an ASCII decimal integer; the CLI reads --random SEED:STEPS with it too
+INTEGER = "[+-]?[0-9]+"
+_HEADER = re.compile(rf"[ \t]*({INTEGER})[ \t]*")
+_VERTEX_LINE = re.compile(rf"[ \t]*({INTEGER})[ \t]+({INTEGER})[ \t]*")
 
 
 class ParseError(ValueError):
@@ -23,18 +29,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def _int(token: str) -> int:
-    # int() also reads '_' separators and non-ASCII digits; the format does not
-    if "_" in token or not token.isascii():
-        raise ValueError(token)
-    return int(token)
-
-
-def _blanks_are_ascii(s: str) -> bool:
-    # str.split() also splits at control and Unicode blanks; the format does not
-    return s.isascii() and (s.isprintable() or s.replace("\t", " ").isprintable())
 
 
 def _lines(text: str) -> list[str]:
@@ -60,28 +54,28 @@ def parse(text: str) -> Terrain:
     if not numbered:
         raise ParseError(1, "missing vertex count header")
     header_line, header = numbered[0]
+    m = _HEADER.fullmatch(header)
+    if m is None:
+        raise ParseError(header_line, f"vertex count expected, got {header!r}")
+    # int() refuses more digits than sys.get_int_max_str_digits(), here and below
     try:
-        n = _int(header.strip())
-    except ValueError:
-        raise ParseError(header_line, f"vertex count expected, got {header.strip()!r}") from None
-    if not _blanks_are_ascii(header):
-        raise ParseError(header_line, f"{_ONLY_ASCII_BLANKS}, got {header!r}")
+        n = int(m[1])
+    except ValueError as exc:
+        raise ParseError(header_line, str(exc)) from None
     if n < 0:
         raise ParseError(header_line, f"vertex count must be non-negative, got {n}")
     body = numbered[1:]
     xs: list[int] = []
     ys: list[int] = []
     for ln, s in body[:n]:
-        tokens = s.split()
-        if len(tokens) != 2:
-            raise ParseError(ln, f"expected 'x y', got {s.strip()!r}")
+        m = _VERTEX_LINE.fullmatch(s)
+        if m is None:
+            raise ParseError(ln, f"expected 'x y', two integers separated by spaces or tabs, got {s!r}")
         try:
-            xs.append(_int(tokens[0]))
-            ys.append(_int(tokens[1]))
-        except ValueError:
-            raise ParseError(ln, f"coordinates must be integers, got {s.strip()!r}") from None
-        if not _blanks_are_ascii(s):
-            raise ParseError(ln, f"{_ONLY_ASCII_BLANKS}, got {s!r}")
+            xs.append(int(m[1]))
+            ys.append(int(m[2]))
+        except ValueError as exc:
+            raise ParseError(ln, str(exc)) from None
     if len(xs) < n:
         raise ParseError(len(lines) + 1, f"expected {n} vertices, file ends after {len(xs)}")
     if len(body) > n:

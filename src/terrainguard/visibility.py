@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Terrain, VertexClass
-
-LC = VertexClass.LEFT_CONVEX
-RC = VertexClass.RIGHT_CONVEX
-LR = VertexClass.LEFT_REFLEX
-RR = VertexClass.RIGHT_REFLEX
+from .geometry import LC, LR, RC, RR, Terrain
 
 
 class NotConvex(ValueError):

@@ -9,6 +9,8 @@ literal four-index loop, and total balance by enumerating square submatrices.
 ``matrix_from_entries`` builds a CoverMatrix from such a dense list.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
+``oracle_vertex_line`` reads one line of the terrain format with str methods
+instead of the parser's regular expression.
 """
 
 from __future__ import annotations
@@ -208,3 +210,21 @@ def matrix_from_entries(entries: Sequence[Sequence[int]]) -> CoverMatrix:
         raise ValueError("entries must be 0 or 1")
     rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
     return CoverMatrix(rows, tuple(range(len(entries))), tuple(range(width)))
+
+
+def oracle_vertex_line(s: str) -> tuple[int, int] | None:
+    """``(x, y)`` when s is a vertex line of the terrain format, else None.
+
+    The line is two integers, each an optional '+' or '-' and one or more
+    ASCII digits, with ASCII spaces or tabs around and between them and
+    nothing else.  Only text checked to be such an integer reaches int().
+    """
+
+    values = [v for v in s.replace("\t", " ").split(" ") if v]
+    if len(values) != 2:
+        return None
+    for v in values:
+        digits = v[1:] if v[0] in "+-" else v
+        if not digits or any(ch not in "0123456789" for ch in digits):
+            return None
+    return int(values[0]), int(values[1])

@@ -249,8 +249,18 @@ class TestRun:
         assert run(["--random", f"1:{MAX_RANDOM_STEPS + 1}"]) == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_random_argument(self, capsys):
-        assert run(["--random", "nope"]) == EXIT_INPUT_ERROR
+    def test_random_steps_cap_is_checked_before_the_generator_bounds(self, capsys):
+        # 2e8 steps also overflow GenSpec's coordinate bound; the cap speaks first
+        assert run(["--random", "1:200000000"]) == EXIT_INPUT_ERROR
+        assert f"at most {MAX_RANDOM_STEPS} steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argument",
+        ["nope", "\u0661:\u0663", " 5:6", "1_0:3", "5:6 ", "5:"],
+        ids=["nope", "arabic-indic-digits", "leading-blank", "underscore", "trailing-blank", "no-steps"],
+    )
+    def test_bad_random_argument(self, capsys, argument):
+        assert run(["--random", argument]) == EXIT_INPUT_ERROR
         assert "SEED:STEPS" in capsys.readouterr().err
 
     def test_requires_a_source(self, capsys):

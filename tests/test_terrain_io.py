@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terrainguard import DiagonalEdge, ParseError, parse, serialize, validate
+from terrainguard import DiagonalEdge, ParseError, ValidationError, parse, serialize, validate
 from tests.conftest import terrains
+from tests.oracles import oracle_vertex_line
 
 SQUARE_VALLEY_TEXT = "4\n0 10\n0 0\n10 0\n10 10\n"
 
@@ -20,6 +23,27 @@ foreign_characters = st.one_of(
     st.sampled_from(UNICODE_AND_CONTROL_SEPARATORS),
     st.characters().filter(lambda ch: not ch.isascii() or not (ch.isprintable() or ch in "\t\n\r")),
 )
+# what a vertex line is made of, with look-alikes that int() or str.split() accept
+VERTEX_LINE_ALPHABET = list("0123456789+-_#x \t") + ["\xa0", "\u3000", "\u0661", "\x0c"]
+
+
+@st.composite
+def vertex_lines(draw):
+    """A well-formed vertex line with up to three characters replaced,
+    inserted or deleted, or free text over the same alphabet."""
+
+    chars = st.sampled_from(VERTEX_LINE_ALPHABET)
+    if draw(st.booleans()):
+        return draw(st.text(chars, max_size=10))
+    blanks = st.text(st.sampled_from(" \t"), max_size=2)
+    digits = st.text(st.sampled_from("0123456789"), min_size=1, max_size=3)
+    value = st.tuples(st.sampled_from(["", "+", "-"]), digits).map("".join)
+    line = draw(blanks) + draw(value) + draw(blanks) + " " + draw(value) + draw(blanks)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        keep = draw(st.sampled_from([at, at + 1]))
+        line = line[:at] + draw(st.sampled_from(["", draw(chars)])) + line[keep:]
+    return line
 
 
 class TestParse:
@@ -110,6 +134,34 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("\n".join(lines))
         assert exc.value.line == (1 if where == "header" else 3)
+
+    @pytest.mark.parametrize("at", ["header", "vertex"])
+    def test_integers_past_the_int_digit_limit_are_parse_errors(self, at):
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        text = f"{huge}\n" if at == "header" else f"2\n0 0\n0 {huge}\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == (1 if at == "header" else 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(vertex_lines())
+    @example("0 5")
+    @example("\t-0\t+5 ")
+    @example("0 1_0")
+    @example("0\xa05")
+    @example("0 \u0661")
+    @example("0 5\x0c")
+    @example("# 0 5")
+    def test_vertex_line_grammar_matches_oracle(self, line):
+        expected = oracle_vertex_line(line)
+        try:
+            t = parse("2\n0 0\n" + line + "\n")
+        except ParseError:
+            assert expected is None
+        except ValidationError:
+            assert expected is not None
+        else:
+            assert expected is not None and (t.xs[1], t.ys[1]) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(terrains(), st.data())
