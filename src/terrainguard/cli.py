@@ -126,6 +126,11 @@ def _run_oracle(
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse would read a negative SEED after --random as an option: attach it
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--random" and _SEED_STEPS.fullmatch(argv[i + 1]):
+            argv[i : i + 2] = [f"--random={argv[i + 1]}"]
     args = _PARSER.parse_args(argv)
     try:
         terrain = _load_terrain(args)

@@ -12,7 +12,9 @@ A matrix with no such induced pattern is in standard greedy form, and a
 simple one-pass greedy finds a provably minimum cover on it (see solver).
 Rows are stored sparsely, as the increasing column indices of their ones:
 a terrain row holds only a few ones, so the form check and the solver run
-in time and memory proportional to the number of visible pairs.
+in time and memory proportional to the number of visible pairs.  The
+visibility sweep fixes this order and emits the rows in it; CoverMatrix
+validates every row it is given.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from operator import ge
 from typing import NamedTuple
 
-from .geometry import LC, LR, RC, RR, Terrain
+from .geometry import Terrain
 from .visibility import VisibilityRelation
 
 
@@ -51,6 +53,9 @@ class CoverMatrix:
     col_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # tuple() of a tuple is the same object, so a built matrix shares its rows
+        for name in ("rows", "row_labels", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         width = len(self.col_labels)
         for i, row in enumerate(self.rows):
             if row and (row[0] < 0 or row[-1] >= width or any(map(ge, row, row[1:]))):
@@ -78,30 +83,10 @@ class CoverMatrix:
 
 
 def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
-    """Assemble the permuted cover matrix from a terrain's visibility relation.
+    """The permuted cover matrix from a terrain's visibility relation, which
+    already holds the rows and labels in this order; ``t`` is not read."""
 
-    This is the one place that fixes the row and column order.  Each row is
-    its target's guards, nearest first, mapped straight to their columns;
-    CoverMatrix rejects a row whose columns do not increase.
-    """
-
-    classes = t.classes
-    rc = [i for i, c in enumerate(classes) if c is RC]
-    lc = [i for i, c in enumerate(classes) if c is LC]
-    rr = [i for i, c in enumerate(classes) if c is RR]
-    lr = [i for i, c in enumerate(classes) if c is LR]
-    # chain order is x order within a class, so reversing flips left/right
-    row_labels = tuple(rc + lc[::-1])
-    col_labels = tuple(rr[::-1] + lr)
-    pos = [0] * t.n
-    for j, g in enumerate(col_labels):
-        pos[g] = j
-    # nearest first is increasing column order: right-convex targets walk left
-    # and meet right-reflex guards right to left, as their columns run, and
-    # left-convex ones mirror this; a list, not a generator, sizes rows exactly
-    guards = rel.guards
-    rows = tuple([tuple([pos[g] for g in guards[c]]) for c in row_labels])
-    return CoverMatrix(rows, row_labels, col_labels)
+    return CoverMatrix(rel.rows, rel.row_labels, rel.col_labels)
 
 
 def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:

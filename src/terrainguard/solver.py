@@ -60,7 +60,8 @@ class GuardSolution:
     assignment: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        # a read-only view of a private copy keeps the frozen result immutable
+        # a tuple and a read-only view of a private copy keep the frozen result immutable
+        object.__setattr__(self, "guards", tuple(self.guards))
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     @property
@@ -78,6 +79,9 @@ class InfeasibilityReport:
 
     unguardable: tuple[int, ...]
     partial: GuardSolution | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unguardable", tuple(self.unguardable))
 
 
 def _check_form(m: CoverMatrix) -> None:
@@ -174,8 +178,12 @@ def solve_matrix(m: CoverMatrix, allow_partial: bool) -> GuardSolution | Infeasi
     _check_form(m)
     chosen, first_cover = _greedy_scan(m)
     guards = tuple(sorted(m.col_labels[j] for j in chosen))
-    assignment = sorted(
-        (c, m.col_labels[j]) for c, j in zip(m.row_labels, first_cover) if j is not None
-    )
-    solution = GuardSolution(guards, dict(assignment))
+    # build's row labels rise, then fall: taking the smaller end first reads them in chain order
+    labels, assignment, lo, hi = m.row_labels, {}, 0, m.k - 1
+    while lo <= hi:
+        i = lo if labels[lo] < labels[hi] else hi
+        lo, hi = lo + (i == lo), hi - (i == hi)
+        if first_cover[i] is not None:
+            assignment[labels[i]] = m.col_labels[first_cover[i]]
+    solution = GuardSolution(guards, assignment)
     return InfeasibilityReport(unguardable, solution) if unguardable else solution

@@ -10,17 +10,20 @@ edge at the segment's own x can carry a horizontal ledge that blocks the
 sightline even though no vertex has an x strictly inside the interval.
 
 Everything here is exact integer arithmetic (2x2 determinants).  The
-whole-terrain relation hops along "next strictly higher vertex" chains and
-costs O(n + hops); hops = Theta(n^2) only on adversarial inputs.  It hands
-each convex vertex its guards nearest first, in the order its sweep meets
-them; the flat (guard, target) pairs are derived from those on demand.
+whole-terrain relation is one monotone-stack pass per side, O(n + hops)
+with hops = Theta(n^2) only on adversarial inputs.  The passes meet the
+targets in row order and their guards in column order, so the sweep fixes
+the cover matrix's order and emits its rows; CoverMatrix validates them.
+Per-vertex guards and (guard, target) pairs are derived from the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
+from typing import Iterable
 
-from .geometry import LC, LR, RC, RR, Terrain
+from .geometry import LR, RC, RR, Terrain
 
 
 class NotConvex(ValueError):
@@ -85,15 +88,27 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VisibilityRelation:
-    """The reflex vertices that see each vertex of the terrain.
+    """The guards of each convex vertex as cover-matrix rows, in that matrix's
+    order (see covermatrix): ``rows[i]`` holds the increasing columns of the
+    guards that see ``row_labels[i]``, empty when no vertex does.  ``guards``
+    and ``pairs`` are derived views in vertex indices."""
 
-    ``guards[c]`` holds the guards of the convex vertex c nearest first, as
-    its chain sweep meets them: decreasing chain index for a right-convex
-    target, increasing for a left-convex one.  It is empty for reflex
-    vertices and for targets no vertex sees.
-    """
+    rows: tuple[tuple[int, ...], ...]
+    row_labels: tuple[int, ...]
+    col_labels: tuple[int, ...]
 
-    guards: tuple[tuple[int, ...], ...]
+    def __post_init__(self) -> None:
+        for name in ("rows", "row_labels", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @property
+    def guards(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its guards nearest first; empty for reflex and unguardable vertices."""
+
+        out: list[tuple[int, ...]] = [()] * (len(self.row_labels) + len(self.col_labels))
+        for c, row in zip(self.row_labels, self.rows):
+            out[c] = tuple([self.col_labels[j] for j in row])
+        return tuple(out)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -103,100 +118,86 @@ class VisibilityRelation:
 
 
 def visibility_relation(t: Terrain) -> VisibilityRelation:
-    """The guards of every convex vertex of the terrain, nearest first.
+    """The guards of every convex vertex, as the rows of the cover matrix.
 
-    Computes "next strictly higher vertex" pointers once in each direction
-    (all nearest larger values, two monotone-stack passes), then runs one
-    chain sweep per convex vertex, so the relation costs O(n + hops).  Hops
-    are a few times the number of pairs on random terrains, 0 on staircases,
-    and reach Theta(n^2) only on adversarial inputs (low teeth before a wall
-    that a long gentle ascent tops).  Agreement with candidate_guards is a
-    tested invariant.  Right-convex targets look left; their sweep runs over
-    negated x so that it is the same rightward sweep seen in a mirror.
-
-    Every vertex a chain sweep reports is strictly higher than its chain
-    predecessor.  Walking right, that makes it the upper end of a vertical
-    edge whose lower end comes before it: a left-reflex vertex.  Walking
-    left, it is a right-reflex vertex by the mirrored argument.  So the
-    guards need no class filter.
+    One stack pass per side (see _sweep): the even vertices left to right
+    (right-convex rows, right-reflex columns counting down from R - 1, R the
+    number of right-reflex vertices), then the odd vertices right to left
+    (left-convex rows, left-reflex columns counting down from n/2 - 1).
     """
 
-    xs, ys, classes = t.xs, t.ys, t.classes
-    mirrored_xs = tuple(-x for x in xs)
-    higher_right = _next_higher(ys, range(len(ys)))
-    higher_left = _next_higher(ys, range(len(ys) - 1, -1, -1))
-    top_y = max(ys)
-    guards: list[tuple[int, ...]] = []
-    for c, cls in enumerate(classes):
-        if cls is RC:
-            guards.append(_visible_sweep(mirrored_xs, ys, higher_left, c, -1, top_y))
-        elif cls is LC:
-            guards.append(_visible_sweep(xs, ys, higher_right, c, 1, top_y))
-        else:
-            guards.append(())
-    return VisibilityRelation(tuple(guards))
+    xs, ys = t.xs, t.ys
+    n = len(ys)
+    rows: list[tuple[int, ...]] = []
+    row_labels: list[int] = []
+    col_labels = [0] * (n // 2)
+    shared = (xs, ys, max(ys), rows, row_labels, col_labels)
+    right_cols = sum(map(gt, ys[0::2], ys[1::2]))
+    _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), right_cols - 1, *shared)
+    _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), n // 2 - 1, *shared)
+    return VisibilityRelation(rows, row_labels, col_labels)
 
 
-def _next_higher(ys: tuple[int, ...], order: range) -> list[int]:
-    """For each vertex, the first vertex after it in ``order`` that is
-    strictly higher, or -1 when there is none (one monotone-stack pass)."""
-
-    out = [-1] * len(ys)
-    stack: list[int] = []  # pending vertices, heights non-increasing
-    for i in order:
-        y = ys[i]
-        while stack and ys[stack[-1]] < y:
-            out[stack.pop()] = i
-        stack.append(i)
-    return out
-
-
-def _visible_sweep(
+def _sweep(
+    vertices: Iterable[tuple[int, int, int, int]],
+    col: int,
     xs: tuple[int, ...],
     ys: tuple[int, ...],
-    higher: list[int],
-    c: int,
-    step: int,
     top_y: int,
-) -> tuple[int, ...]:
-    """Indices of all vertices visible from the convex vertex c, walking by
-    step, nearest first.
+    rows: list[tuple[int, ...]],
+    row_labels: list[int],
+    col_labels: list[int],
+) -> None:
+    """Append one side's rows and their targets, and label its columns
+    counting down from ``col``, in the order the sweep meets them.
 
-    ``xs`` must increase in the walking direction: the terrain's own x for
-    step 1, negated x for step -1, so the geometry is always a rightward
-    sweep.  ``higher`` holds the next strictly higher vertex in that
-    direction (-1 for none).  The first neighbour is c's horizontal
-    neighbour, at c's height: never visible, but always a blocker.  Keeps
-    the extreme blocking slope seen so far as an integer vector (ux, uy)
-    relative to c; a vertex is visible exactly when its slope from c
-    strictly beats that extreme, and then it becomes the new extreme.
+    ``vertices`` yields ``(v, x, y, y_partner)`` for one parity class in sweep
+    order; v is a guard, the top of its vertical edge, when ``y > y_partner``,
+    else a target, which looks back along the sweep.  The stack holds columns.
 
-    The walk hops along ``higher`` from the neighbour, visiting only strict
-    prefix maxima of height.  A skipped vertex is no higher than the chain
-    vertex before it and no nearer to c, so it cannot beat that vertex's
-    slope: it is neither visible nor the extreme.  Once even a vertex at the
-    terrain's maximum height ``top_y`` could no longer beat the extreme,
-    nothing further out can be visible and the walk stops.  The cost is one
-    step per chain vertex visited (a hop).
+    Once a vertex has popped every entry no higher than itself, the stack is
+    its chain: each vertex behind it that is strictly higher than all
+    between them, nearest on top.
+    - Only vertical-edge tops are pushed: a chain vertex is strictly higher
+      than its neighbour towards the target, so they share a vertical edge,
+      of which it is the top.  A vertex of the other parity is as high as
+      its horizontal neighbour towards the target, which pops for it.
+    - Popping at a target is safe: a popped entry is no higher than the
+      target, which lies between it and every later target.
+    - Nearest first is increasing column order: the nearer of two entries
+      was pushed later, so its column is smaller.
+
+    The walk keeps the extreme blocking slope as an integer vector (ux, uy)
+    from the target, ux > 0 a horizontal distance.  An entry is visible
+    exactly when its slope strictly beats it, and then becomes it.  The first
+    extreme, the target's own horizontal edge, makes the top entry visible.
+    A vertex off the chain is no higher than the chain vertex before it and
+    no nearer: neither visible nor the extreme.  The walk stops once even a
+    vertex at height ``top_y`` could not beat the extreme.  O(n + hops).
     """
 
-    xc, yc = xs[c], ys[c]
-    top = top_y - yc
-    out: list[int] = []
-    first = c + step
-    if not 0 <= first < len(xs):
-        return ()
-    ux, uy = xs[first] - xc, ys[first] - yc
-    i = higher[first]
-    while i >= 0:
-        wx = xs[i] - xc
-        # best remaining slope is top / wx; once it cannot beat uy / ux the
-        # walk is done (both denominators positive)
-        if top * ux <= uy * wx:
-            break
-        wy = ys[i] - yc
-        if ux * wy - uy * wx > 0:
-            out.append(i)
-            ux, uy = wx, wy
-        i = higher[i]
-    return tuple(out)
+    stack: list[int] = []  # columns; their vertices' heights strictly decrease upward
+    for v, x, y, y_partner in vertices:
+        while stack and ys[col_labels[stack[-1]]] <= y:
+            stack.pop()
+        if y > y_partner:
+            col_labels[col] = v
+            stack.append(col)
+            col -= 1
+            continue
+        row_labels.append(v)
+        top = top_y - y
+        ux, uy = 1, 0
+        row = []
+        for j in reversed(stack):
+            g = col_labels[j]
+            wx = abs(xs[g] - x)
+            # best remaining slope is top / wx; once it cannot beat uy / ux the
+            # walk is done (both denominators positive)
+            if top * ux <= uy * wx:
+                break
+            wy = ys[g] - y
+            if ux * wy - uy * wx > 0:
+                row.append(j)
+                ux, uy = wx, wy
+        rows.append(tuple(row))

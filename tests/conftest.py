@@ -45,6 +45,45 @@ def tooth_wall_spike(m: int, ascent: int) -> Terrain:
     wall = 4 * m + 4
     heights = [1, 0] * m + [wall] + [wall + 1 + j for j in range(ascent)]
     heights.append(wall * (2 * m + ascent + 4))  # steeper from every tooth than the wall
+    return _unit_run_terrain(heights)
+
+
+def convex_bowl(k: int) -> Terrain:
+    """k unit-run steps down with drops k, k - 1, ..., 1, then k up with rises
+    1, 2, ..., k.  The step corners lie on a strictly convex curve, so the
+    relation is dense: every vertex a sweep hops to is visible, and a step
+    bottom sees every step top across the floor that is higher than it."""
+
+    heights = [0]
+    for d in range(k, 0, -1):
+        heights.append(heights[-1] - d)
+    for r in range(1, k + 1):
+        heights.append(heights[-1] + r)
+    return _unit_run_terrain(heights)
+
+
+def comb_under_spike(m: int) -> Terrain:
+    """m unit valleys of depth 1 between rims of equal height, then a spike
+    of height 4m.  A floor's right corner sees only the rim corner to its
+    left, and the spike keeps the early stop from ending its walk over the
+    rims further left, so a sweep must drop a rim once a rim of equal height
+    comes after it."""
+
+    return _unit_run_terrain([1, 0] * m + [1, 4 * m])
+
+
+def staircase_over_comb(m: int) -> Terrain:
+    """m unit steps down from height 3m to 2m, then m unit valleys of depth m.
+    A floor's right corner sees only the rim corner to its left, which hides
+    all of the staircase, so only the early stop keeps its walk off the m
+    staircase tops."""
+
+    return _unit_run_terrain([3 * m - i for i in range(m + 1)] + [0, m] * m)
+
+
+def _unit_run_terrain(heights: list[int]) -> Terrain:
+    """Vertical edge k at x = k, from heights[k] up or down to heights[k + 1]."""
+
     pts = []
     for k in range(len(heights) - 1):
         pts += [(k, heights[k]), (k, heights[k + 1])]

@@ -146,9 +146,10 @@ class TestRun:
         relation = cli_module.visibility_relation
 
         def drop_guards_of_vertex_1(t):
-            guards = list(relation(t).guards)
-            guards[1] = ()
-            return VisibilityRelation(tuple(guards))
+            rel = relation(t)
+            rows = list(rel.rows)
+            rows[rel.row_labels.index(1)] = ()
+            return VisibilityRelation(rows, rel.row_labels, rel.col_labels)
 
         monkeypatch.setattr(cli_module, "visibility_relation", drop_guards_of_vertex_1)
         assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
@@ -262,6 +263,17 @@ class TestRun:
     def test_bad_random_argument(self, capsys, argument):
         assert run(["--random", argument]) == EXIT_INPUT_ERROR
         assert "SEED:STEPS" in capsys.readouterr().err
+
+    def test_random_takes_a_negative_seed_as_the_next_argument(self, capsys):
+        assert run(["--random=-5:6", "--allow-partial"]) == EXIT_OK
+        attached = capsys.readouterr().out
+        assert run(["--random", "-5:6", "--allow-partial"]) == EXIT_OK
+        assert capsys.readouterr().out == attached
+
+    def test_random_does_not_take_an_option_as_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--random", "--input", "x"])
+        assert exc.value.code == 2  # argparse usage error
 
     def test_requires_a_source(self, capsys):
         with pytest.raises(SystemExit) as exc:

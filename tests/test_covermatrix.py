@@ -9,11 +9,15 @@ from terrainguard import (
     VertexClass,
     Violation,
     build,
+    candidate_guards,
+    convex_indices,
+    descending_staircase,
     find_greedy_form_violation,
     format_matrix,
+    valley_comb,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase, terrains, tooth_wall_spike
+from tests.conftest import ascending_staircase, convex_bowl, terrains, tooth_wall_spike
 from tests.oracles import (
     matrix_from_entries,
     oracle_greedy_form_violation,
@@ -39,6 +43,13 @@ def matrices(max_dim: int = 6):
 
 
 class TestBuild:
+    def test_matrix_is_immutable(self):
+        m = CoverMatrix([(0,)], [0], [1])
+        assert (m.rows, m.row_labels, m.col_labels) == (((0,),), (0,), (1,))
+        with pytest.raises(AttributeError):
+            m.rows.append((0,))
+        assert m.k == 1
+
     def test_square_valley_matrix(self, square_valley):
         m = build(square_valley, visibility_relation(square_valley))
         assert m.row_labels == (2, 1)
@@ -98,10 +109,34 @@ class TestBuild:
         for t in corpus:
             assert build(t, visibility_relation(t)).rows == oracle_rows(t), (t.xs, t.ys)
 
+    def test_relation_holds_the_matrix_and_its_views_match_the_oracles(self, corpus):
+        for t in corpus:
+            rel = visibility_relation(t)
+            m = build(t, rel)
+            assert m.rows is rel.rows and rel.rows == oracle_rows(t), (t.xs, t.ys)
+            assert m.row_labels is rel.row_labels and m.col_labels is rel.col_labels
+            seen_by = {c: candidate_guards(t, c) for c in convex_indices(t)}
+            for c in range(t.n):
+                assert sorted(rel.guards[c]) == list(seen_by.get(c, ())), ((t.xs, t.ys), c)
+            pairs = sorted(((g, c) for c, gs in seen_by.items() for g in gs), key=lambda p: p[::-1])
+            assert rel.pairs == tuple(pairs)
+
     @pytest.mark.parametrize(
         "t",
-        [ascending_staircase(40), tooth_wall_spike(6, 12)],
-        ids=["ascending-staircase", "tooth-wall-spike"],
+        [
+            ascending_staircase(40),
+            tooth_wall_spike(6, 12),
+            descending_staircase(40),
+            valley_comb(12),
+            convex_bowl(12),
+        ],
+        ids=[
+            "ascending-staircase",
+            "tooth-wall-spike",
+            "descending-staircase",
+            "valley-comb",
+            "convex-bowl",
+        ],
     )
     def test_rows_match_oracle_on_adversaries(self, t):
         assert build(t, visibility_relation(t)).rows == oracle_rows(t)

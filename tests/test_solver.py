@@ -135,6 +135,18 @@ class TestSolve:
             sol.assignment[1] = 0
         assert sol.assignment == {1: 3, 2: 0}
 
+    def test_guards_are_immutable(self):
+        sol = GuardSolution([1, 2], {})
+        assert sol.guards == (1, 2)
+        with pytest.raises(AttributeError):
+            sol.guards.append(9)
+
+    def test_unguardable_is_immutable(self):
+        rep = InfeasibilityReport([4])
+        assert rep.unguardable == (4,)
+        with pytest.raises(AttributeError):
+            rep.unguardable.append(5)
+
     def test_single_step_infeasible(self, single_step_up):
         rep = solve(single_step_up)
         assert isinstance(rep, InfeasibilityReport)

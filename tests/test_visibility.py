@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
+import terrainguard.visibility as visibility_module
 from terrainguard import (
     NotConvex,
     VertexClass,
@@ -14,7 +17,13 @@ from terrainguard import (
     validate,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase, terrains, tooth_wall_spike
+from tests.conftest import (
+    ascending_staircase,
+    comb_under_spike,
+    staircase_over_comb,
+    terrains,
+    tooth_wall_spike,
+)
 from tests.oracles import oracle_candidates, oracle_sees
 
 # reconstruction of a terrain with all four classes where the left-reflex
@@ -23,6 +32,27 @@ FOUR_CLASS = [
     (0, 4), (0, 1), (3, 1), (3, 3), (6, 3), (6, 0),
     (9, 0), (9, 5), (12, 5), (12, 2), (14, 2), (14, 6),
 ]
+
+
+def sweep_lines(t) -> int:
+    """Lines the stack sweep executes on t: a deterministic measure of its work."""
+
+    code = visibility_module._sweep.__code__
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        visibility_relation(t)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def by_target(rel: VisibilityRelation) -> dict[int, tuple[int, ...]]:
@@ -123,6 +153,14 @@ class TestCandidateGuards:
 
 
 class TestVisibilityRelation:
+    def test_is_immutable(self, square_valley):
+        rel = VisibilityRelation([(0,), (1,)], [2, 1], [0, 3])
+        assert rel == visibility_relation(square_valley)
+        assert type(rel.rows) is type(rel.row_labels) is type(rel.col_labels) is tuple
+        with pytest.raises(AttributeError):
+            rel.rows.append(())
+        assert rel.guards == ((), (3,), (0,), ())
+
     def test_square_valley_pairs(self, square_valley):
         assert visibility_relation(square_valley).pairs == ((3, 1), (0, 2))
 
@@ -204,6 +242,16 @@ class TestChainSweepAdversaries:
         rel = by_target(visibility_relation(t))
         for c in convex_indices(t):
             assert rel.get(c, ()) == candidate_guards(t, c), c
+
+    @pytest.mark.parametrize(
+        "t",
+        [comb_under_spike(300), staircase_over_comb(300)],
+        ids=["equal-rims-pop", "early-stop"],
+    )
+    def test_sweep_work_is_linear(self, t):
+        # keeping a rim of equal height on the stack, or walking on past the
+        # early stop, makes Theta(m^2) hops here, against n = 4m + 2 or 6m
+        assert sweep_lines(t) <= 30 * t.n
 
     def test_tooth_bottoms_see_next_top_wall_and_spike(self):
         m = 5
