@@ -38,7 +38,7 @@ from .solver import (
 )
 from .svg import emit_svg
 from .terrain_io import ParseError, parse, serialize
-from .visibility import NotConvex, VisibilityRelation, candidate_guards, sees, visibility_relation
+from .visibility import NotConvex, candidate_guards, sees, visibility_relation
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "ValidationError",
     "VertexClass",
     "Violation",
-    "VisibilityRelation",
     "ZeroLengthEdge",
     "brute_force_optimum",
     "build",

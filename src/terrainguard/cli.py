@@ -15,7 +15,7 @@ import re
 import sys
 from typing import Sequence
 
-from .covermatrix import CoverMatrix, build, format_matrix
+from .covermatrix import CoverMatrix, format_matrix
 from .generator import GenSpec, random_terrain
 from .geometry import Terrain, ValidationError
 from .solver import (
@@ -127,9 +127,10 @@ def _run_oracle(
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse would read a negative SEED after --random as an option: attach it
+    # argparse would read a negative SEED after --random, or after any prefix of it
+    # from --r on (argparse takes unambiguous abbreviations), as an option: attach it
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--random" and _SEED_STEPS.fullmatch(argv[i + 1]):
+        if len(argv[i]) > 2 and "--random".startswith(argv[i]) and _SEED_STEPS.fullmatch(argv[i + 1]):
             argv[i : i + 2] = [f"--random={argv[i + 1]}"]
     args = _PARSER.parse_args(argv)
     try:
@@ -144,7 +145,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    m = build(terrain, visibility_relation(terrain))
+    m = visibility_relation(terrain)
     result = solve_matrix(m, args.allow_partial)
 
     oracle_code = EXIT_OK

@@ -13,8 +13,8 @@ simple one-pass greedy finds a provably minimum cover on it (see solver).
 Rows are stored sparsely, as the increasing column indices of their ones:
 a terrain row holds only a few ones, so the form check and the solver run
 in time and memory proportional to the number of visible pairs.  The
-visibility sweep fixes this order and emits the rows in it; CoverMatrix
-validates every row it is given.
+visibility sweep fixes this order and returns the matrix in it
+(visibility_relation); CoverMatrix validates every row it is given.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from operator import ge
 from typing import NamedTuple
 
 from .geometry import Terrain
-from .visibility import VisibilityRelation
 
 
 class Violation(NamedTuple):
@@ -46,6 +45,7 @@ class CoverMatrix:
     ``col_labels[j]`` sees the convex vertex at ``row_labels[i]``; a row
     nobody covers is the empty (falsy) tuple.  ``entries`` materialises the
     dense 0/1 form on demand; it is meant for small matrices and debugging.
+    ``pairs`` lists the ones as vertex pairs.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -53,9 +53,13 @@ class CoverMatrix:
     col_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # tuple() of a tuple is the same object, so a built matrix shares its rows
+        # tuples keep the frozen matrix immutable
         for name in ("rows", "row_labels", "col_labels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.row_labels) != len(self.rows):
+            raise ValueError(
+                f"{len(self.rows)} rows need as many row labels, got {len(self.row_labels)}"
+            )
         width = len(self.col_labels)
         for i, row in enumerate(self.rows):
             if row and (row[0] < 0 or row[-1] >= width or any(map(ge, row, row[1:]))):
@@ -81,12 +85,20 @@ class CoverMatrix:
             dense.append(tuple(line))
         return tuple(dense)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """All (guard, target) vertex pairs, sorted by target then guard."""
 
-def build(t: Terrain, rel: VisibilityRelation) -> CoverMatrix:
-    """The permuted cover matrix from a terrain's visibility relation, which
-    already holds the rows and labels in this order; ``t`` is not read."""
+        cols = self.col_labels
+        by_target = sorted((c, cols[j]) for c, row in zip(self.row_labels, self.rows) for j in row)
+        return tuple((g, c) for c, g in by_target)
 
-    return CoverMatrix(rel.rows, rel.row_labels, rel.col_labels)
+
+def build(t: Terrain, rel: CoverMatrix) -> CoverMatrix:
+    """Identity: ``visibility_relation`` already returns the matrix.  Kept
+    only for the benchmark harness; ``t`` is not read."""
+
+    return rel
 
 
 def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:

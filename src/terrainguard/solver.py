@@ -1,12 +1,13 @@
 """Exact minimum guard selection.
 
-The pipeline is: classify vertices, compute the visibility relation, build
-the permuted cover matrix, then run the standard-greedy-form greedy: scan
-rows top to bottom and, whenever a row is still uncovered, pick the highest
-index column with a one in it.  On a matrix free of the [[1,1],[1,0]]
-pattern that column dominates every alternative for all later rows, so the
-scan returns a minimum cover.  A brute-force subset-enumeration oracle is
-kept alongside as the independent correctness reference.
+The pipeline is: classify vertices, compute the visibility relation, which
+is already the permuted cover matrix, then run the standard-greedy-form
+greedy: scan rows top to bottom and, whenever a row is still uncovered,
+pick the highest index column with a one in it.  On a matrix free of the
+[[1,1],[1,0]] pattern that column dominates every alternative for all
+later rows, so the scan returns a minimum cover.  A brute-force
+subset-enumeration oracle is kept alongside as the independent correctness
+reference.
 
 Terrains where some convex vertex is seen by no reflex vertex at all have
 no cover; those come back as an InfeasibilityReport rather than an error,
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .covermatrix import CoverMatrix, Violation, build, find_greedy_form_violation
+from .covermatrix import CoverMatrix, Violation, find_greedy_form_violation
 from .geometry import Terrain
 from .visibility import visibility_relation
 
@@ -60,7 +61,8 @@ class GuardSolution:
     assignment: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        # a tuple and a read-only view of a private copy keep the frozen result immutable
+        # a tuple and a read-only view of a private dict keep the frozen result
+        # immutable; solve_matrix passes (target, guard) pairs, which dict() takes too
         object.__setattr__(self, "guards", tuple(self.guards))
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
@@ -165,7 +167,7 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     iteration order.
     """
 
-    return solve_matrix(build(t, visibility_relation(t)), allow_partial)
+    return solve_matrix(visibility_relation(t), allow_partial)
 
 
 def solve_matrix(m: CoverMatrix, allow_partial: bool) -> GuardSolution | InfeasibilityReport:
@@ -178,12 +180,17 @@ def solve_matrix(m: CoverMatrix, allow_partial: bool) -> GuardSolution | Infeasi
     _check_form(m)
     chosen, first_cover = _greedy_scan(m)
     guards = tuple(sorted(m.col_labels[j] for j in chosen))
-    # build's row labels rise, then fall: taking the smaller end first reads them in chain order
-    labels, assignment, lo, hi = m.row_labels, {}, 0, m.k - 1
+    solution = GuardSolution(guards, _assignment(m, first_cover))
+    return InfeasibilityReport(unguardable, solution) if unguardable else solution
+
+
+def _assignment(m: CoverMatrix, first_cover: list[int | None]) -> Iterator[tuple[int, int]]:
+    """(target, guard) of each covered row, targets in chain order."""
+
+    # the sweep's row labels rise, then fall: the smaller end first reads them in chain order
+    labels, lo, hi = m.row_labels, 0, m.k - 1
     while lo <= hi:
         i = lo if labels[lo] < labels[hi] else hi
         lo, hi = lo + (i == lo), hi - (i == hi)
         if first_cover[i] is not None:
-            assignment[labels[i]] = m.col_labels[first_cover[i]]
-    solution = GuardSolution(guards, assignment)
-    return InfeasibilityReport(unguardable, solution) if unguardable else solution
+            yield labels[i], m.col_labels[first_cover[i]]

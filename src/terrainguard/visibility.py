@@ -13,16 +13,16 @@ Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation is one monotone-stack pass per side, O(n + hops)
 with hops = Theta(n^2) only on adversarial inputs.  The passes meet the
 targets in row order and their guards in column order, so the sweep fixes
-the cover matrix's order and emits its rows; CoverMatrix validates them.
-Per-vertex guards and (guard, target) pairs are derived from the rows.
+the cover matrix's order and returns the CoverMatrix itself, which
+validates its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt
 from typing import Iterable
 
+from .covermatrix import CoverMatrix
 from .geometry import LR, RC, RR, Terrain
 
 
@@ -86,39 +86,8 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
     return tuple(r for r in pruned if sees(t, r, c))
 
 
-@dataclass(frozen=True)
-class VisibilityRelation:
-    """The guards of each convex vertex as cover-matrix rows, in that matrix's
-    order (see covermatrix): ``rows[i]`` holds the increasing columns of the
-    guards that see ``row_labels[i]``, empty when no vertex does.  ``guards``
-    and ``pairs`` are derived views in vertex indices."""
-
-    rows: tuple[tuple[int, ...], ...]
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("rows", "row_labels", "col_labels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    @property
-    def guards(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, its guards nearest first; empty for reflex and unguardable vertices."""
-
-        out: list[tuple[int, ...]] = [()] * (len(self.row_labels) + len(self.col_labels))
-        for c, row in zip(self.row_labels, self.rows):
-            out[c] = tuple([self.col_labels[j] for j in row])
-        return tuple(out)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All (guard, target) pairs, sorted by target then guard."""
-
-        return tuple((g, c) for c, gs in enumerate(self.guards) for g in sorted(gs))
-
-
-def visibility_relation(t: Terrain) -> VisibilityRelation:
-    """The guards of every convex vertex, as the rows of the cover matrix.
+def visibility_relation(t: Terrain) -> CoverMatrix:
+    """The guards of every convex vertex, as the permuted cover matrix.
 
     One stack pass per side (see _sweep): the even vertices left to right
     (right-convex rows, right-reflex columns counting down from R - 1, R the
@@ -135,7 +104,7 @@ def visibility_relation(t: Terrain) -> VisibilityRelation:
     right_cols = sum(map(gt, ys[0::2], ys[1::2]))
     _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), right_cols - 1, *shared)
     _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), n // 2 - 1, *shared)
-    return VisibilityRelation(rows, row_labels, col_labels)
+    return CoverMatrix(rows, row_labels, col_labels)
 
 
 def _sweep(

@@ -30,7 +30,6 @@ PUBLIC = [
     "ValidationError",
     "VertexClass",
     "Violation",
-    "VisibilityRelation",
     "ZeroLengthEdge",
     "brute_force_optimum",
     "build",

@@ -10,9 +10,9 @@ import pytest
 import terrainguard.cli as cli_module
 import terrainguard.solver as solver_module
 from terrainguard import (
+    CoverMatrix,
     GuardSolution,
     InfeasibilityReport,
-    VisibilityRelation,
     serialize,
     solve,
     validate,
@@ -149,7 +149,7 @@ class TestRun:
             rel = relation(t)
             rows = list(rel.rows)
             rows[rel.row_labels.index(1)] = ()
-            return VisibilityRelation(rows, rel.row_labels, rel.col_labels)
+            return CoverMatrix(rows, rel.row_labels, rel.col_labels)
 
         monkeypatch.setattr(cli_module, "visibility_relation", drop_guards_of_vertex_1)
         assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
@@ -164,13 +164,13 @@ class TestRun:
         expected_out = capsys.readouterr().out
 
         reads = []
-        pairs = VisibilityRelation.pairs
+        pairs = CoverMatrix.pairs
 
         def counted(rel):
             reads.append(rel)
             return pairs.fget(rel)
 
-        monkeypatch.setattr(VisibilityRelation, "pairs", property(counted))
+        monkeypatch.setattr(CoverMatrix, "pairs", property(counted))
         assert solve(t, allow_partial=True) == expected_solution
         assert run(argv) == EXIT_OK
         assert capsys.readouterr().out == expected_out
@@ -268,6 +268,13 @@ class TestRun:
         assert run(["--random=-5:6", "--allow-partial"]) == EXIT_OK
         attached = capsys.readouterr().out
         assert run(["--random", "-5:6", "--allow-partial"]) == EXIT_OK
+        assert capsys.readouterr().out == attached
+
+    @pytest.mark.parametrize("option", ["--r", "--rand"])
+    def test_random_abbreviation_takes_a_negative_seed(self, capsys, option):
+        attached_code = run(["--random=-5:6"])
+        attached = capsys.readouterr().out
+        assert run([option, "-5:6"]) == attached_code
         assert capsys.readouterr().out == attached
 
     def test_random_does_not_take_an_option_as_its_value(self, capsys):

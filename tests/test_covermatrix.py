@@ -50,6 +50,15 @@ class TestBuild:
             m.rows.append((0,))
         assert m.k == 1
 
+    @pytest.mark.parametrize(
+        "rows, row_labels",
+        [([(0,), (0,)], [7]), ([(0,)], [7, 8, 9])],
+        ids=["too-few-labels", "too-many-labels"],
+    )
+    def test_rejects_row_labels_that_do_not_match_the_rows(self, rows, row_labels):
+        with pytest.raises(ValueError, match="row labels"):
+            CoverMatrix(rows, row_labels, [5])
+
     def test_square_valley_matrix(self, square_valley):
         m = build(square_valley, visibility_relation(square_valley))
         assert m.row_labels == (2, 1)
@@ -112,12 +121,12 @@ class TestBuild:
     def test_relation_holds_the_matrix_and_its_views_match_the_oracles(self, corpus):
         for t in corpus:
             rel = visibility_relation(t)
-            m = build(t, rel)
-            assert m.rows is rel.rows and rel.rows == oracle_rows(t), (t.xs, t.ys)
-            assert m.row_labels is rel.row_labels and m.col_labels is rel.col_labels
+            assert build(t, rel) is rel and rel.rows == oracle_rows(t), (t.xs, t.ys)
             seen_by = {c: candidate_guards(t, c) for c in convex_indices(t)}
-            for c in range(t.n):
-                assert sorted(rel.guards[c]) == list(seen_by.get(c, ())), ((t.xs, t.ys), c)
+            for c, row in zip(rel.row_labels, rel.rows):
+                guards = sorted(rel.col_labels[j] for j in row)
+                assert guards == list(seen_by[c]), ((t.xs, t.ys), c)
+            assert sorted(rel.row_labels) == sorted(seen_by)
             pairs = sorted(((g, c) for c, gs in seen_by.items() for g in gs), key=lambda p: p[::-1])
             assert rel.pairs == tuple(pairs)
 

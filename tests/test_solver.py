@@ -135,6 +135,14 @@ class TestSolve:
             sol.assignment[1] = 0
         assert sol.assignment == {1: 3, 2: 0}
 
+    def test_assignment_is_a_private_copy(self):
+        given = {1: 3, 2: 0}
+        sol = GuardSolution((0, 3), given)
+        given[1] = 0
+        del given[2]
+        given[5] = 3
+        assert sol.assignment == {1: 3, 2: 0}
+
     def test_guards_are_immutable(self):
         sol = GuardSolution([1, 2], {})
         assert sol.guards == (1, 2)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 
 import terrainguard.visibility as visibility_module
 from terrainguard import (
+    CoverMatrix,
     NotConvex,
     VertexClass,
-    VisibilityRelation,
+    build,
     candidate_guards,
     convex_indices,
     descending_staircase,
@@ -55,7 +56,7 @@ def sweep_lines(t) -> int:
     return count
 
 
-def by_target(rel: VisibilityRelation) -> dict[int, tuple[int, ...]]:
+def by_target(rel: CoverMatrix) -> dict[int, tuple[int, ...]]:
     out: dict[int, list[int]] = {}
     for g, c in rel.pairs:
         out.setdefault(c, []).append(g)
@@ -154,12 +155,16 @@ class TestCandidateGuards:
 
 class TestVisibilityRelation:
     def test_is_immutable(self, square_valley):
-        rel = VisibilityRelation([(0,), (1,)], [2, 1], [0, 3])
+        rel = CoverMatrix([(0,), (1,)], [2, 1], [0, 3])
         assert rel == visibility_relation(square_valley)
         assert type(rel.rows) is type(rel.row_labels) is type(rel.col_labels) is tuple
         with pytest.raises(AttributeError):
             rel.rows.append(())
-        assert rel.guards == ((), (3,), (0,), ())
+
+    def test_is_the_cover_matrix(self, square_valley):
+        rel = visibility_relation(square_valley)
+        assert type(rel) is CoverMatrix
+        assert build(square_valley, rel) is rel
 
     def test_square_valley_pairs(self, square_valley):
         assert visibility_relation(square_valley).pairs == ((3, 1), (0, 2))
@@ -180,10 +185,12 @@ class TestVisibilityRelation:
 
     def test_guards_are_nearest_first_tuples(self, corpus):
         for t in corpus:
-            guards = visibility_relation(t).guards
-            assert type(guards) is tuple and len(guards) == t.n
-            for c, gs in enumerate(guards):
-                assert type(gs) is tuple
+            rel = visibility_relation(t)
+            row_of = dict(zip(rel.row_labels, rel.rows))
+            assert tuple(sorted(row_of)) == convex_indices(t)
+            assert all(type(row) is tuple for row in rel.rows)
+            for c in range(t.n):
+                gs = tuple(rel.col_labels[j] for j in row_of.get(c, ()))
                 if t.classes[c].is_reflex:
                     assert gs == ()
                 else:
