@@ -23,7 +23,7 @@ from .solver import (
     GuardSolution,
     InfeasibilityReport,
     brute_force_optimum,
-    solve_matrix,
+    solve,
 )
 from .svg import emit_svg
 from .terrain_io import INTEGER, ParseError, parse
@@ -145,8 +145,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    m = visibility_relation(terrain)
-    result = solve_matrix(m, args.allow_partial)
+    result = solve(terrain, args.allow_partial)
+    # the oracle checks solve against a matrix of its own
+    m = visibility_relation(terrain) if args.matrix or args.oracle else None
 
     oracle_code = EXIT_OK
     oracle_line = None

@@ -10,11 +10,11 @@ pattern [[1,1],[1,0]]:
 
 A matrix with no such induced pattern is in standard greedy form, and a
 simple one-pass greedy finds a provably minimum cover on it (see solver).
-Rows are stored sparsely, as the increasing column indices of their ones:
-a terrain row holds only a few ones, so the form check and the solver run
-in time and memory proportional to the number of visible pairs.  The
-visibility sweep fixes this order and returns the matrix in it
-(visibility_relation); CoverMatrix validates every row it is given.
+Rows are stored sparsely, as the increasing column indices of their ones,
+so a matrix takes memory in proportion to the number of visible pairs.
+The visibility sweep yields the rows in this order: solve consumes them
+without a matrix, and visibility_relation collects them into a CoverMatrix,
+which validates every row it is given, for the form check and the oracles.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
-"""Exact minimum guard selection.
+"""Exact minimum guard selection, proven minimum on every instance.
 
-The pipeline is: classify vertices, compute the visibility relation, which
-is already the permuted cover matrix, then run the standard-greedy-form
-greedy: scan rows top to bottom and, whenever a row is still uncovered,
-pick the highest index column with a one in it.  On a matrix free of the
-[[1,1],[1,0]] pattern that column dominates every alternative for all
-later rows, so the scan returns a minimum cover.  A brute-force
-subset-enumeration oracle is kept alongside as the independent correctness
-reference.
+After a fixed row and column permutation the guarding set-cover matrix has
+no [[1,1],[1,0]] pattern: it is in standard greedy form, hence totally
+balanced (Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6(4),
+1985), and a one-pass greedy covers it minimally.  solve runs that greedy
+on the visibility sweep's rows as they come: a row no chosen guard covers
+forces its highest column.  A column shared by two forcing rows would
+complete the pattern, so the forcing rows are a packing as large as the
+cover, which proves it minimum by weak LP duality; solve checks that in
+O(pairs) and raises NotGreedyForm where it fails.  A brute-force
+subset-enumeration oracle is the independent correctness reference.
 
 Terrains where some convex vertex is seen by no reflex vertex at all have
 no cover; those come back as an InfeasibilityReport rather than an error,
@@ -19,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .covermatrix import CoverMatrix, Violation, find_greedy_form_violation
 from .geometry import Terrain
-from .visibility import visibility_relation
+from .visibility import target_rows
 
 BRUTE_FORCE_COLUMN_LIMIT = 25
 
@@ -53,8 +55,9 @@ class GuardSolution:
 
     ``guards`` are reflex vertex indices in chain order; ``assignment`` is a
     read-only mapping from every covered convex vertex, in chain order, to
-    the guard that first covered it in greedy choice order.  ``size`` is the
-    proven-minimum cardinality.
+    the guard that first covered it in greedy choice order.  ``size`` is
+    minimum: solve checks on each instance that the targets which forced
+    the guards form a packing, which no cover can beat.
     """
 
     guards: tuple[int, ...]
@@ -62,7 +65,7 @@ class GuardSolution:
 
     def __post_init__(self) -> None:
         # a tuple and a read-only view of a private dict keep the frozen result
-        # immutable; solve_matrix passes (target, guard) pairs, which dict() takes too
+        # immutable; solve passes (target, guard) pairs, which dict() takes too
         object.__setattr__(self, "guards", tuple(self.guards))
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
@@ -98,27 +101,6 @@ def _reject_empty_rows(m: CoverMatrix) -> None:
         raise EmptyRow(i, m.row_labels[i])
 
 
-def _greedy_scan(m: CoverMatrix) -> tuple[list[int], list[int | None]]:
-    """Chosen columns in choice order plus, per row, its first covering
-    chosen column; an empty row is skipped and gets None."""
-
-    chosen: list[int] = []
-    # position of each column in choice order; k' marks a column not chosen
-    unchosen = m.k_prime
-    rank = [unchosen] * m.k_prime
-    first_cover: list[int | None] = []
-    for row in m.rows:
-        if not row:
-            first_cover.append(None)
-            continue
-        r = min(map(rank.__getitem__, row))
-        if r == unchosen:
-            r = rank[row[-1]] = len(chosen)
-            chosen.append(row[-1])
-        first_cover.append(chosen[r])
-    return chosen, first_cover
-
-
 def greedy_cover(m: CoverMatrix, check_form: bool = True) -> frozenset[int]:
     """Minimum-cardinality column cover of a standard-greedy-form matrix.
 
@@ -129,7 +111,10 @@ def greedy_cover(m: CoverMatrix, check_form: bool = True) -> frozenset[int]:
     if check_form:
         _check_form(m)
     _reject_empty_rows(m)
-    chosen, _ = _greedy_scan(m)
+    chosen: set[int] = set()
+    for row in m.rows:
+        if chosen.isdisjoint(row):
+            chosen.add(row[-1])
     return frozenset(chosen)
 
 
@@ -164,33 +149,39 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     Infeasible terrains return an InfeasibilityReport; with ``allow_partial``
     it additionally carries the optimum over the guardable convex vertices.
     The result is a pure function of the terrain, deterministic down to
-    iteration order.
+    iteration order.  A failed packing check raises NotGreedyForm.
     """
 
-    return solve_matrix(visibility_relation(t), allow_partial)
-
-
-def solve_matrix(m: CoverMatrix, allow_partial: bool) -> GuardSolution | InfeasibilityReport:
-    """``solve`` from the terrain's cover matrix, for callers that built it already."""
-
-    unguardable = tuple(sorted(c for c, row in zip(m.row_labels, m.rows) if not row))
-    if unguardable and not allow_partial:
-        return InfeasibilityReport(unguardable)
-    # empty rows hold no ones, so they change neither the check nor the scan
-    _check_form(m)
-    chosen, first_cover = _greedy_scan(m)
-    guards = tuple(sorted(m.col_labels[j] for j in chosen))
-    solution = GuardSolution(guards, _assignment(m, first_cover))
-    return InfeasibilityReport(unguardable, solution) if unguardable else solution
-
-
-def _assignment(m: CoverMatrix, first_cover: list[int | None]) -> Iterator[tuple[int, int]]:
-    """(target, guard) of each covered row, targets in chain order."""
-
-    # the sweep's row labels rise, then fall: the smaller end first reads them in chain order
-    labels, lo, hi = m.row_labels, 0, m.k - 1
-    while lo <= hi:
-        i = lo if labels[lo] < labels[hi] else hi
-        lo, hi = lo + (i == lo), hi - (i == hi)
-        if first_cover[i] is not None:
-            yield labels[i], m.col_labels[first_cover[i]]
+    col_labels = [0] * (t.n // 2)
+    # per column: its position in choice order, and the choice whose forcing
+    # row holds it; k' marks a column not chosen, or not held
+    unchosen = len(col_labels)
+    rank = [unchosen] * unchosen
+    owner = [unchosen] * unchosen
+    chosen: list[int] = []  # columns in choice order
+    forcing: list[int] = []  # the row that forced each
+    first_cover = [-1] * t.n  # per covered target, its first chosen column
+    unguardable: list[int] = []
+    rows = target_rows(t, col_labels)
+    for i, (c, row) in enumerate(rows):
+        if not row:
+            if not allow_partial:
+                # no cover exists: only the other unguardable targets are left to find
+                return InfeasibilityReport(sorted([c, *(d for d, other in rows if not other)]))
+            unguardable.append(c)
+            continue
+        r = min(map(rank.__getitem__, row))
+        if r == unchosen:
+            r = len(chosen)
+            for j in row:
+                if owner[j] != unchosen:
+                    # the earlier forcing row's choice is missing here
+                    raise NotGreedyForm(Violation(forcing[owner[j]], i, j, chosen[owner[j]]))
+                owner[j] = r
+            rank[row[-1]] = r
+            chosen.append(row[-1])
+            forcing.append(i)
+        first_cover[c] = chosen[r]
+    assignment = ((c, col_labels[j]) for c, j in enumerate(first_cover) if j >= 0)
+    solution = GuardSolution(sorted(col_labels[j] for j in chosen), assignment)
+    return InfeasibilityReport(sorted(unguardable), solution) if unguardable else solution

@@ -13,14 +13,15 @@ Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation is one monotone-stack pass per side, O(n + hops)
 with hops = Theta(n^2) only on adversarial inputs.  The passes meet the
 targets in row order and their guards in column order, so the sweep fixes
-the cover matrix's order and returns the CoverMatrix itself, which
-validates its rows.
+the cover matrix's order and yields its rows, which solve consumes as they
+come and visibility_relation collects into the validated CoverMatrix.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import gt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .covermatrix import CoverMatrix
 from .geometry import LR, RC, RR, Terrain
@@ -87,7 +88,17 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
 
 
 def visibility_relation(t: Terrain) -> CoverMatrix:
-    """The guards of every convex vertex, as the permuted cover matrix.
+    """The guards of every convex vertex, as the permuted cover matrix
+    that target_rows yields row by row."""
+
+    col_labels = [0] * (t.n // 2)
+    pairs = list(target_rows(t, col_labels))
+    return CoverMatrix([row for _, row in pairs], [c for c, _ in pairs], col_labels)
+
+
+def target_rows(t: Terrain, col_labels: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each convex vertex with its cover matrix row, in row order, while
+    ``col_labels`` (n/2 long) gets each column's vertex before a row names it.
 
     One stack pass per side (see _sweep): the even vertices left to right
     (right-convex rows, right-reflex columns counting down from R - 1, R the
@@ -97,14 +108,12 @@ def visibility_relation(t: Terrain) -> CoverMatrix:
 
     xs, ys = t.xs, t.ys
     n = len(ys)
-    rows: list[tuple[int, ...]] = []
-    row_labels: list[int] = []
-    col_labels = [0] * (n // 2)
-    shared = (xs, ys, max(ys), rows, row_labels, col_labels)
+    shared = (xs, ys, max(ys), col_labels)
     right_cols = sum(map(gt, ys[0::2], ys[1::2]))
-    _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), right_cols - 1, *shared)
-    _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), n // 2 - 1, *shared)
-    return CoverMatrix(rows, row_labels, col_labels)
+    return chain(
+        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), right_cols - 1, *shared),
+        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), n // 2 - 1, *shared),
+    )
 
 
 def _sweep(
@@ -113,11 +122,9 @@ def _sweep(
     xs: tuple[int, ...],
     ys: tuple[int, ...],
     top_y: int,
-    rows: list[tuple[int, ...]],
-    row_labels: list[int],
     col_labels: list[int],
-) -> None:
-    """Append one side's rows and their targets, and label its columns
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield one side's targets with their rows, and label its columns
     counting down from ``col``, in the order the sweep meets them.
 
     ``vertices`` yields ``(v, x, y, y_partner)`` for one parity class in sweep
@@ -154,7 +161,6 @@ def _sweep(
             stack.append(col)
             col -= 1
             continue
-        row_labels.append(v)
         top = top_y - y
         ux, uy = 1, 0
         row = []
@@ -169,4 +175,4 @@ def _sweep(
             if ux * wy - uy * wx > 0:
                 row.append(j)
                 ux, uy = wx, wy
-        rows.append(tuple(row))
+        yield v, tuple(row)

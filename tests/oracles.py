@@ -7,6 +7,8 @@ which quadrants around a vertex lie above the terrain, covers by exhaustive
 subset search over dense matrices, the forbidden-pattern check by the
 literal four-index loop, and total balance by enumerating square submatrices.
 ``matrix_from_entries`` builds a CoverMatrix from such a dense list.
+``oracle_solve`` solves from a built matrix: the form check, then a greedy
+that looks up each row's earliest chosen column in the list of choices.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
 ``oracle_vertex_line`` reads one line of the terrain format with str methods
@@ -19,7 +21,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from terrainguard import CoverMatrix, Terrain, candidate_guards
+from terrainguard import (
+    CoverMatrix,
+    GuardSolution,
+    InfeasibilityReport,
+    NotGreedyForm,
+    Terrain,
+    candidate_guards,
+    find_greedy_form_violation,
+)
 
 
 def terrain_height(t: Terrain, x: Fraction) -> Fraction:
@@ -198,6 +208,34 @@ def oracle_totally_balanced(entries: list[list[int]]) -> bool:
                 if all(sum(profiles[j][r] for j in cols) == 2 for r in range(s)):
                     return False
     return True
+
+
+def oracle_solve(m: CoverMatrix, allow_partial: bool) -> GuardSolution | InfeasibilityReport:
+    """solve's result from the terrain's built cover matrix.
+
+    Unguardable rows first: without ``allow_partial`` they end the solve.
+    Then find_greedy_form_violation, the greedy scan in row order (a row no
+    chosen column covers picks its last column, and each row is assigned
+    the earliest chosen column it holds) and the assignment sorted into
+    chain order.
+    """
+
+    unguardable = sorted(c for c, row in zip(m.row_labels, m.rows) if not row)
+    if unguardable and not allow_partial:
+        return InfeasibilityReport(unguardable)
+    violation = find_greedy_form_violation(m)
+    if violation is not None:
+        raise NotGreedyForm(violation)
+    chosen: list[int] = []
+    first_cover = {}
+    for c, row in zip(m.row_labels, m.rows):
+        if row:
+            covering = [j for j in chosen if j in row] or [row[-1]]
+            if covering[0] not in chosen:
+                chosen.append(covering[0])
+            first_cover[c] = m.col_labels[covering[0]]
+    solution = GuardSolution(sorted(m.col_labels[j] for j in chosen), sorted(first_cover.items()))
+    return InfeasibilityReport(unguardable, solution) if unguardable else solution
 
 
 def matrix_from_entries(entries: Sequence[Sequence[int]]) -> CoverMatrix:

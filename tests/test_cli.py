@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import terrainguard.cli as cli_module
-import terrainguard.solver as solver_module
+import terrainguard.visibility as visibility_module
 from terrainguard import (
     CoverMatrix,
     GuardSolution,
@@ -137,7 +137,7 @@ class TestRun:
     def test_oracle_flags_feasibility_disagreement(
         self, request, capsys, monkeypatch, fixture, wrong, message
     ):
-        monkeypatch.setattr(cli_module, "solve_matrix", lambda m, allow_partial: wrong)
+        monkeypatch.setattr(cli_module, "solve", lambda t, allow_partial: wrong)
         path = request.getfixturevalue(fixture)
         assert run(["--input", path, "--oracle"]) == EXIT_ORACLE_MISMATCH
         assert f"oracle: MISMATCH ({message})" in capsys.readouterr().err
@@ -228,19 +228,34 @@ class TestRun:
         assert run(["--input", str(path)]) == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    def test_visibility_is_computed_once(self, capsys, monkeypatch):
-        calls = []
-        relation = solver_module.visibility_relation
+    @pytest.mark.parametrize(
+        "flags, sweeps, relations",
+        [([], 2, 0), (["--matrix"], 4, 1), (["--oracle"], 4, 1), (["--oracle", "--matrix"], 4, 1)],
+        ids=["default", "matrix", "oracle", "oracle-matrix"],
+    )
+    def test_sweeps_per_run(self, valley_file, capsys, monkeypatch, flags, sweeps, relations):
+        # solve sweeps each side once; only --matrix and --oracle build the matrix,
+        # with one more pass per side
+        passes, built = [], []
+        sweep, relation = visibility_module._sweep, cli_module.visibility_relation
 
-        def counting(t):
-            calls.append(t)
+        def counting_sweep(*args):
+            passes.append(args)
+            return sweep(*args)
+
+        def counting_relation(t):
+            built.append(t)
             return relation(t)
 
-        monkeypatch.setattr(cli_module, "visibility_relation", counting)
-        monkeypatch.setattr(solver_module, "visibility_relation", counting)
+        monkeypatch.setattr(visibility_module, "_sweep", counting_sweep)
+        monkeypatch.setattr(cli_module, "visibility_relation", counting_relation)
+        assert run(["--input", valley_file, *flags]) == EXIT_OK
+        assert VALLEY_REPORT in capsys.readouterr().out
+        assert (len(passes), len(built)) == (sweeps, relations)
+
+    def test_matrix_and_oracle_report(self, capsys):
         assert run(["--random", "5:6", "--oracle", "--matrix", "--allow-partial"]) == EXIT_OK
         assert capsys.readouterr().out == RANDOM_5_6_REPORT
-        assert len(calls) == 1
 
     def test_random_steps_are_capped(self, capsys, monkeypatch):
         def never(spec):

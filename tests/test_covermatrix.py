@@ -17,7 +17,14 @@ from terrainguard import (
     valley_comb,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase, convex_bowl, terrains, tooth_wall_spike
+from tests.conftest import (
+    ascending_staircase,
+    comb_under_spike,
+    convex_bowl,
+    staircase_over_comb,
+    terrains,
+    tooth_wall_spike,
+)
 from tests.oracles import (
     matrix_from_entries,
     oracle_greedy_form_violation,
@@ -138,6 +145,8 @@ class TestBuild:
             descending_staircase(40),
             valley_comb(12),
             convex_bowl(12),
+            comb_under_spike(12),
+            staircase_over_comb(12),
         ],
         ids=[
             "ascending-staircase",
@@ -145,10 +154,15 @@ class TestBuild:
             "descending-staircase",
             "valley-comb",
             "convex-bowl",
+            "comb-under-spike",
+            "staircase-over-comb",
         ],
     )
     def test_rows_match_oracle_on_adversaries(self, t):
-        assert build(t, visibility_relation(t)).rows == oracle_rows(t)
+        m = build(t, visibility_relation(t))
+        assert m.rows == oracle_rows(t)
+        # the paper's theorem, which solve relies on without checking it
+        assert find_greedy_form_violation(m) is None
 
 
 class TestFromEntries:
@@ -261,4 +275,6 @@ class TestFormat:
 @settings(max_examples=300, deadline=None)
 @given(terrains())
 def test_rows_match_oracle_on_random_terrains(t):
-    assert build(t, visibility_relation(t)).rows == oracle_rows(t)
+    m = build(t, visibility_relation(t))
+    assert m.rows == oracle_rows(t)
+    assert find_greedy_form_violation(m) is None

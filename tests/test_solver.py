@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import terrainguard.solver as solver_module
 from terrainguard import (
     CoverMatrix,
     EmptyRow,
@@ -14,6 +15,7 @@ from terrainguard import (
     VertexClass,
     brute_force_optimum,
     build,
+    descending_staircase,
     find_greedy_form_violation,
     greedy_cover,
     sees,
@@ -21,7 +23,21 @@ from terrainguard import (
     validate,
     visibility_relation,
 )
-from tests.oracles import matrix_from_entries, oracle_candidates, oracle_min_cover
+from tests.conftest import (
+    ascending_staircase,
+    comb_under_spike,
+    convex_bowl,
+    staircase_over_comb,
+    terrains,
+    tooth_wall_spike,
+)
+from tests.oracles import (
+    matrix_from_entries,
+    oracle_candidates,
+    oracle_greedy_form_violation,
+    oracle_min_cover,
+    oracle_solve,
+)
 from tests.test_covermatrix import matrices
 
 # single unguardable step followed by a guardable valley
@@ -239,3 +255,72 @@ class TestSolve:
     def test_deterministic(self, corpus):
         for t in corpus[:30]:
             assert repr(solve(t, allow_partial=True)) == repr(solve(t, allow_partial=True))
+
+
+def _outcome(result):
+    """Everything a result holds, the assignment's order included."""
+
+    if isinstance(result, GuardSolution):
+        return "solution", result.guards, list(result.assignment.items())
+    return "report", result.unguardable, result.partial and _outcome(result.partial)
+
+
+ADVERSARIES = [
+    convex_bowl(12),
+    tooth_wall_spike(6, 12),
+    comb_under_spike(12),
+    staircase_over_comb(12),
+    ascending_staircase(40),
+    descending_staircase(40),
+]
+
+
+class TestSolveAgainstMatrixPipeline:
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_corpus_and_adversaries(self, corpus, allow_partial):
+        for t in corpus + ADVERSARIES:
+            expected = oracle_solve(visibility_relation(t), allow_partial)
+            assert _outcome(solve(t, allow_partial)) == _outcome(expected), (t.xs, t.ys)
+
+    @given(terrains(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_terrains(self, t, allow_partial):
+        expected = oracle_solve(visibility_relation(t), allow_partial)
+        assert _outcome(solve(t, allow_partial)) == _outcome(expected)
+
+    def test_builds_no_matrix(self, corpus, monkeypatch):
+        # no CoverMatrix means neither visibility_relation nor the form check ran
+        expected = [solve(t, allow_partial=True) for t in corpus + ADVERSARIES]
+
+        def refuse(m):
+            raise AssertionError("solve built a CoverMatrix")
+
+        monkeypatch.setattr(CoverMatrix, "__post_init__", refuse)
+        assert [solve(t, allow_partial=True) for t in corpus + ADVERSARIES] == expected
+
+
+class TestCertificate:
+    """solve checks that its forcing rows pack; forged rows stand in for the sweep."""
+
+    @staticmethod
+    def _forge(monkeypatch, rows):
+        def forged(t, col_labels):
+            col_labels[:] = [0, 2, 5]
+            return iter(rows)
+
+        monkeypatch.setattr(solver_module, "target_rows", forged)
+
+    def test_forbidden_pattern_breaks_the_packing(self, monkeypatch, blocked_ledge):
+        entries = [[0, 1, 1], [1, 1, 0]]
+        self._forge(monkeypatch, [(1, (1, 2)), (3, (0, 1))])
+        with pytest.raises(NotGreedyForm) as exc:
+            solve(blocked_ledge)
+        v = exc.value.violation
+        assert v.i1 < v.i2 and v.j1 < v.j2
+        named = [[entries[i][j] for j in (v.j1, v.j2)] for i in (v.i1, v.i2)]
+        assert oracle_greedy_form_violation(named) == (0, 1, 0, 1)
+
+    def test_pattern_free_rows_solve(self, monkeypatch, blocked_ledge):
+        assert oracle_greedy_form_violation([[0, 1, 1], [0, 0, 1], [1, 0, 0]]) is None
+        self._forge(monkeypatch, [(1, (1, 2)), (3, (2,)), (4, (0,))])
+        assert _outcome(solve(blocked_ledge)) == ("solution", (0, 5), [(1, 5), (3, 5), (4, 0)])
