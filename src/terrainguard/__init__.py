@@ -10,7 +10,7 @@ polynomial time; a brute-force oracle double-checks it at desk scale.
 """
 
 from .covermatrix import CoverMatrix, Violation, build, find_greedy_form_violation, format_matrix
-from .generator import BoundsExceeded, GenSpec, SplitMix64, descending_staircase, random_terrain, valley_comb
+from .generator import BoundsExceeded, GenSpec, SplitMix64, random_terrain
 from .geometry import (
     COORD_LIMIT,
     CoordinateOutOfRange,
@@ -70,7 +70,6 @@ __all__ = [
     "build",
     "candidate_guards",
     "convex_indices",
-    "descending_staircase",
     "emit_svg",
     "find_greedy_form_violation",
     "format_matrix",
@@ -81,6 +80,5 @@ __all__ = [
     "serialize",
     "solve",
     "validate",
-    "valley_comb",
     "visibility_relation",
 ]

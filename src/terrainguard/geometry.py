@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import cycle
+from operator import eq, getitem, gt, lt
 from typing import Iterable, Sequence
 
 COORD_LIMIT = 2**30  # keeps every 2x2 determinant inside 62 signed bits
@@ -103,7 +105,10 @@ class Terrain:
     Construction runs the full invariant check, so holding a Terrain is proof
     of validity.  Instances are immutable and safe to share across workers.
     The constructor also derives ``classes``, the per-vertex classification
-    the visibility code leans on.
+    the visibility code leans on.  Valid input is checked and classified by
+    whole-sequence comparisons and maps (``_is_terrain``); only input that
+    fails them goes through ``_check_invariants``, which names the first
+    error.
     """
 
     xs: tuple[int, ...]
@@ -111,16 +116,22 @@ class Terrain:
     classes: tuple[VertexClass, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        xs, ys = tuple(self.xs), tuple(self.ys)
-        _check_invariants(xs, ys)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        # The checks slice lists, not tuples: CPython keeps freed tuples of
+        # fewer than 20 items on free lists that only a full gc empties, so
+        # the slices of many small terrains would pile up there.
+        xs, ys = list(self.xs), list(self.ys)
+        if not _is_terrain(xs, ys):
+            _check_invariants(xs, ys)
+        object.__setattr__(self, "xs", tuple(xs))
+        object.__setattr__(self, "ys", tuple(ys))
         # Even-index vertices are the right endpoint of their horizontal edge and
         # odd-index ones the left endpoint: horizontal edges occupy odd edge
         # slots, and the left/right rays give v_0 and v_{n-1} the same parity
         # rule.  Vertex i's vertical edge runs to i ^ 1, and i is reflex when it
         # is the top of that edge.
-        classes = tuple(_CLASS_BY_PARITY[i & 1][ys[i] > ys[i ^ 1]] for i in range(len(ys)))
+        other = ys[:]  # other[i] = ys[i ^ 1]
+        other[0::2], other[1::2] = ys[1::2], ys[0::2]
+        classes = tuple(map(getitem, cycle(_CLASS_BY_PARITY), map(gt, ys, other)))
         object.__setattr__(self, "classes", classes)
 
     @property
@@ -148,10 +159,43 @@ def validate(raw_points: Iterable[Sequence[int]]) -> Terrain:
             raise ValidationError(msg, index=i) from None
         xs.append(x)
         ys.append(y)
-    return Terrain(tuple(xs), tuple(ys))
+    return Terrain(xs, ys)
 
 
-def _check_invariants(xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
+def _is_terrain(xs: list[int], ys: list[int]) -> bool:
+    """True exactly when ``_check_invariants`` passes, in C-level passes only.
+
+    The type test comes before ``min`` and ``max``, which raise on mixed
+    types.  Vertical edges are the even edge slots (x kept, y changed, so
+    none has zero length); horizontal edges are the odd ones (y kept, x
+    strictly rising).
+    """
+
+    n = len(xs)
+    return (
+        len(ys) == n
+        and n >= 2
+        and n % 2 == 0
+        and {*map(type, xs), *map(type, ys)} == {int}
+        and -COORD_LIMIT <= min(xs)
+        and max(xs) <= COORD_LIMIT
+        and -COORD_LIMIT <= min(ys)
+        and max(ys) <= COORD_LIMIT
+        and xs[0::2] == xs[1::2]
+        and not any(map(eq, ys[0::2], ys[1::2]))
+        and ys[1:-1:2] == ys[2::2]
+        and all(map(lt, xs[1:-1:2], xs[2::2]))
+    )
+
+
+def _check_invariants(xs: Sequence[int], ys: Sequence[int]) -> None:
+    """Raise the first invariant a vertex sequence breaks, or return.
+
+    Only input that ``_is_terrain`` rejects reaches this loop, so it is the
+    one place that decides each error's type, message, ``index`` and the
+    order in which the checks run.
+    """
+
     n = len(xs)
     if len(ys) != n:
         msg = f"{n} x coordinates but {len(ys)} y coordinates"

@@ -32,6 +32,54 @@ def ascending_staircase(steps: int) -> Terrain:
     return validate([p for k in range(steps) for p in ((k, k), (k, k + 1))])
 
 
+def descending_staircase(k: int, run: int = 3, drop: int = 2) -> Terrain:
+    """k steps straight down, left to right.
+
+    Every step bottom is a left-convex vertex with nothing higher to its
+    right, so all k of them are unguardable.
+    """
+
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if run < 1 or drop < 1:
+        raise ValueError("run and drop must be >= 1")
+    x = y = 0
+    xs, ys = [0], [0]
+    for s in range(k):
+        y -= drop
+        xs.append(x)
+        ys.append(y)
+        if s < k - 1:
+            x += run
+            xs.append(x)
+            ys.append(y)
+    return Terrain(xs, ys)
+
+
+def valley_comb(m: int, width: int = 10, depth: int = 10, gap: int = 5) -> Terrain:
+    """m rectangular valleys of the given width and depth cut into a flat rim.
+
+    The rim sits at y = depth and each valley floor at y = 0, with ``gap``
+    units of rim between consecutive valleys.  Each floor corner is seen by
+    the rim corner diagonally above it, so the instance is always feasible.
+    """
+
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if width < 1 or depth < 1 or gap < 1:
+        raise ValueError("width, depth and gap must be >= 1")
+    xs: list[int] = []
+    ys: list[int] = []
+    x = 0
+    for i in range(m):
+        if i:
+            x += gap
+        xs += [x, x, x + width, x + width]
+        ys += [depth, 0, 0, depth]
+        x += width
+    return Terrain(xs, ys)
+
+
 def tooth_wall_spike(m: int, ascent: int) -> Terrain:
     """Adversary for chain sweeps: m teeth of heights 0/1, a wall of height
     4m + 4, ``ascent`` unit steps rising above the wall, then a spike.

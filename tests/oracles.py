@@ -12,24 +12,40 @@ that looks up each row's earliest chosen column in the list of choices.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
 ``oracle_vertex_line`` reads one line of the terrain format with str methods
-instead of the parser's regular expression.
+instead of the parser's regular expression.  ``oracle_parse`` and
+``oracle_check_invariants`` are the per-line reader and the per-vertex
+invariant loop as they stood before parse and Terrain took their bulk paths,
+kept verbatim so that every outcome of the bulk paths can be compared with
+theirs.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from terrainguard import (
+    COORD_LIMIT,
+    CoordinateOutOfRange,
     CoverMatrix,
+    DiagonalEdge,
     GuardSolution,
     InfeasibilityReport,
+    NonAlternatingEdges,
     NotGreedyForm,
+    NotMonotone,
+    OddVertexCount,
+    ParseError,
     Terrain,
+    TooFewVertices,
+    ValidationError,
+    ZeroLengthEdge,
     candidate_guards,
     find_greedy_form_violation,
 )
+from terrainguard.terrain_io import INTEGER
 
 
 def terrain_height(t: Terrain, x: Fraction) -> Fraction:
@@ -266,3 +282,92 @@ def oracle_vertex_line(s: str) -> tuple[int, int] | None:
         if not digits or any(ch not in "0123456789" for ch in digits):
             return None
     return int(values[0]), int(values[1])
+
+
+_HEADER = re.compile(rf"[ \t]*({INTEGER})[ \t]*")
+_VERTEX_LINE = re.compile(rf"[ \t]*({INTEGER})[ \t]+({INTEGER})[ \t]*")
+
+
+def _lines(text: str) -> list[str]:
+    # str.splitlines() also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def oracle_parse(text: str) -> Terrain:
+    """Read the terrain format; raises ParseError or a ValidationError."""
+
+    lines = _lines(text)
+    # a line that starts with a value needs no lstrip; that is most lines
+    numbered = [
+        (ln, s)
+        for ln, s in enumerate(lines, start=1)
+        if s[:1] not in " \t#" or s.lstrip(" \t")[:1] not in ("", "#")
+    ]
+    if not numbered:
+        raise ParseError(1, "missing vertex count header")
+    header_line, header = numbered[0]
+    m = _HEADER.fullmatch(header)
+    if m is None:
+        raise ParseError(header_line, f"vertex count expected, got {header!r}")
+    # int() refuses more digits than sys.get_int_max_str_digits(), here and below
+    try:
+        n = int(m[1])
+    except ValueError as exc:
+        raise ParseError(header_line, str(exc)) from None
+    if n < 0:
+        raise ParseError(header_line, f"vertex count must be non-negative, got {n}")
+    body = numbered[1:]
+    xs: list[int] = []
+    ys: list[int] = []
+    for ln, s in body[:n]:
+        m = _VERTEX_LINE.fullmatch(s)
+        if m is None:
+            raise ParseError(ln, f"expected 'x y', two integers separated by spaces or tabs, got {s!r}")
+        try:
+            xs.append(int(m[1]))
+            ys.append(int(m[2]))
+        except ValueError as exc:
+            raise ParseError(ln, str(exc)) from None
+    if len(xs) < n:
+        raise ParseError(len(lines) + 1, f"expected {n} vertices, file ends after {len(xs)}")
+    if len(body) > n:
+        ln, s = body[n]
+        raise ParseError(ln, f"unexpected content after {n} vertices: {s.strip()!r}")
+    return Terrain(xs, ys)
+
+
+def oracle_check_invariants(xs: tuple[int, ...], ys: tuple[int, ...]) -> None:
+    n = len(xs)
+    if len(ys) != n:
+        msg = f"{n} x coordinates but {len(ys)} y coordinates"
+        raise ValidationError(msg, index=min(n, len(ys)))
+    if n < 2:
+        raise TooFewVertices(f"terrain needs at least 2 vertices, got {n}")
+    if n % 2:
+        raise OddVertexCount(f"vertex count must be even, got {n}")
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if type(x) is not int or type(y) is not int:
+            raise ValidationError(f"vertex {i} at ({x!r}, {y!r}) must have int coordinates", index=i)
+        if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+            raise CoordinateOutOfRange(f"vertex {i} at ({x}, {y}) exceeds |coord| <= 2^30", index=i)
+    for i in range(n - 1):
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        if dx == 0 and dy == 0:
+            raise ZeroLengthEdge(f"edge {i} -> {i + 1} has zero length", index=i)
+        if dx != 0 and dy != 0:
+            raise DiagonalEdge(f"edge {i} -> {i + 1} is neither horizontal nor vertical", index=i)
+        # vertical edges sit at even edge positions: the chain opens and
+        # closes on a vertical edge, horizontals fill the odd slots
+        if i % 2 == 0:
+            if dx != 0:
+                raise NonAlternatingEdges(f"edge {i} -> {i + 1} must be vertical", index=i)
+        else:
+            if dy != 0:
+                raise NonAlternatingEdges(f"edge {i} -> {i + 1} must be horizontal", index=i)
+            if dx < 0:
+                raise NotMonotone(f"horizontal edge {i} -> {i + 1} must go rightward", index=i)

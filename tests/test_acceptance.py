@@ -26,7 +26,6 @@ from terrainguard import (
     build,
     candidate_guards,
     convex_indices,
-    descending_staircase,
     emit_svg,
     find_greedy_form_violation,
     parse,
@@ -34,10 +33,9 @@ from terrainguard import (
     sees,
     serialize,
     solve,
-    valley_comb,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase
+from tests.conftest import ascending_staircase, descending_staircase, valley_comb
 from tests.oracles import matrix_from_entries, oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX

@@ -35,7 +35,6 @@ PUBLIC = [
     "build",
     "candidate_guards",
     "convex_indices",
-    "descending_staircase",
     "emit_svg",
     "find_greedy_form_violation",
     "format_matrix",
@@ -46,7 +45,6 @@ PUBLIC = [
     "serialize",
     "solve",
     "validate",
-    "valley_comb",
     "visibility_relation",
 ]
 

@@ -323,3 +323,18 @@ def test_module_runs_as_a_script():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.startswith("status: ")
+
+
+def test_package_runs_as_a_module(capsys):
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    argv = ["--random", "5:6", "--allow-partial"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "terrainguard", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert run(argv) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out

@@ -11,19 +11,19 @@ from terrainguard import (
     build,
     candidate_guards,
     convex_indices,
-    descending_staircase,
     find_greedy_form_violation,
     format_matrix,
-    valley_comb,
     visibility_relation,
 )
 from tests.conftest import (
     ascending_staircase,
     comb_under_spike,
     convex_bowl,
+    descending_staircase,
     staircase_over_comb,
     terrains,
     tooth_wall_spike,
+    valley_comb,
 )
 from tests.oracles import (
     matrix_from_entries,
@@ -100,8 +100,6 @@ class TestBuild:
             assert m.k == k and m.k_prime == k
 
     def test_cross_side_blocks_are_zero(self, corpus):
-        from terrainguard import valley_comb
-
         for t in corpus + [valley_comb(2, width=6, depth=8, gap=3)]:
             m = build(t, visibility_relation(t))
             for i, c in enumerate(m.row_labels):

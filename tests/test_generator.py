@@ -10,12 +10,11 @@ from terrainguard import (
     SplitMix64,
     VertexClass,
     convex_indices,
-    descending_staircase,
     random_terrain,
     solve,
     validate,
-    valley_comb,
 )
+from tests.conftest import descending_staircase, valley_comb
 
 
 def mirrored(t):

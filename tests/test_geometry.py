@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import terrainguard.geometry as geometry_module
 from terrainguard import (
     COORD_LIMIT,
     CoordinateOutOfRange,
@@ -19,7 +23,68 @@ from terrainguard import (
     convex_indices,
     validate,
 )
-from tests.oracles import oracle_class
+from tests.conftest import terrains
+from tests.oracles import oracle_check_invariants, oracle_class
+
+# what a coordinate can be turned into: each is a valid int once coerced
+RETYPES = [bool, float, str]
+OVER = COORD_LIMIT + 1
+
+
+@st.composite
+def coordinate_lists(draw):
+    """The coordinates of a random terrain with up to three edits: an edge
+    made zero-length, diagonal or leftward, a vertex dropped from one list or
+    from both, a value pushed out of range or retyped (retypes come last)."""
+
+    t = draw(terrains(max_steps=6))
+    xs, ys = list(t.xs), list(t.ys)
+    kinds = ["zero", "diagonal", "leftward", "unequal", "odd", "range", "retype"]
+    edits = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    for edit in sorted(edits, key=lambda e: e == "retype"):
+        n = min(len(xs), len(ys))
+        if n == 0:
+            break
+        i = draw(st.integers(0, n - 1))
+        values = draw(st.sampled_from([xs, ys]))
+        if edit == "retype":
+            values[i] = draw(st.sampled_from(RETYPES))(values[i])
+        elif edit == "range":
+            values[i] = draw(st.sampled_from([OVER, -OVER, COORD_LIMIT, -COORD_LIMIT]))
+        elif edit == "unequal":
+            values.pop(i)
+        elif edit == "odd":
+            xs.pop(i)
+            ys.pop(i)
+        elif i + 1 < n:
+            j = i + 1
+            if edit == "zero":
+                xs[j], ys[j] = xs[i], ys[i]
+            elif edit == "diagonal":
+                xs[j], ys[j] = xs[i] + 1, ys[i] + 1
+            else:
+                xs[j], ys[j] = xs[i] - draw(st.integers(0, 2)), ys[i]
+    return xs, ys
+
+
+def outcome(make, *args):
+    """A built terrain with its classes, or the error as its type,
+    message and index."""
+
+    try:
+        t = make(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.index
+    return "built", t.xs, t.ys, [c.value for c in t.classes]
+
+
+def oracle_terrain(xs, ys) -> SimpleNamespace:
+    """The per-vertex check, then each class probed from first principles."""
+
+    t = SimpleNamespace(xs=tuple(xs), ys=tuple(ys))
+    oracle_check_invariants(t.xs, t.ys)
+    t.classes = [VertexClass(oracle_class(t, i)) for i in range(len(t.xs))]
+    return t
 
 
 class TestValidate:
@@ -140,3 +205,32 @@ class TestClassify:
                 xs = [t.xs[i] for i, c in enumerate(t.classes) if c is cls]
                 assert xs == sorted(xs)
                 assert len(set(xs)) == len(xs)
+
+
+class TestBulkValidation:
+    """Terrain checks and classifies in whole-list passes; the per-vertex
+    loop kept in tests/oracles.py is the reference for every outcome."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(coordinate_lists())
+    @example(([], []))
+    @example(([0], [0]))
+    @example(([0, 0], [0]))
+    @example(([0, 0, 1], [0, 1, 1]))
+    @example(([0, 0], [0, 0]))
+    @example(([0, 1], [0, 1]))
+    @example(([0, 0, -1, -1], [0, 1, 1, 2]))
+    @example(([0, 0, 0, 0], [0, 1, 1, 2]))
+    @example(([0, 0], [0, True]))
+    @example(([0, 0], [0, 1.0]))
+    @example(([0, 0], ["0", 1]))
+    @example(([0.5, 0], [0, OVER]))
+    @example(([0, 0], [0, OVER]))
+    @example(([-OVER, -OVER], [0, 1]))
+    @example(([COORD_LIMIT, COORD_LIMIT], [-COORD_LIMIT, COORD_LIMIT]))
+    def test_outcomes_match_the_per_vertex_loop(self, lists):
+        xs, ys = lists
+        expected = outcome(oracle_terrain, xs, ys)
+        assert outcome(Terrain, xs, ys) == expected
+        # only invalid input is left for the loop to name
+        assert geometry_module._is_terrain(list(xs), list(ys)) == (expected[0] == "built")

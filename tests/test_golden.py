@@ -15,15 +15,14 @@ import hashlib
 from terrainguard import (
     GenSpec,
     build,
-    descending_staircase,
     format_matrix,
     random_terrain,
     serialize,
     solve,
-    valley_comb,
     visibility_relation,
 )
 from terrainguard.cli import format_report
+from tests.conftest import descending_staircase, valley_comb
 
 REPORT_DIGEST = "e8a441339d845668fdc6574a77c63fde02bdfb40dc640b578607050d4c386e09"
 MATRIX_DIGEST = "5fb64d10370f63b3c39c6b6d77f6d32994b7e79e4891e314407669735040f6b5"

@@ -15,7 +15,6 @@ from terrainguard import (
     VertexClass,
     brute_force_optimum,
     build,
-    descending_staircase,
     find_greedy_form_violation,
     greedy_cover,
     sees,
@@ -27,9 +26,11 @@ from tests.conftest import (
     ascending_staircase,
     comb_under_spike,
     convex_bowl,
+    descending_staircase,
     staircase_over_comb,
     terrains,
     tooth_wall_spike,
+    valley_comb,
 )
 from tests.oracles import (
     matrix_from_entries,
@@ -220,8 +221,6 @@ class TestSolve:
                 assert result.size == brute_force_optimum(m)[0]
 
     def test_three_valley_comb_matches_oracle(self):
-        from terrainguard import valley_comb
-
         t = valley_comb(3, width=10, depth=10, gap=5)
         sol = solve(t)
         assert isinstance(sol, GuardSolution)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terrainguard import DiagonalEdge, ParseError, ValidationError, parse, serialize, validate
+import terrainguard.geometry as geometry_module
+import terrainguard.terrain_io as terrain_io_module
+from terrainguard import DiagonalEdge, ParseError, Terrain, ValidationError, parse, serialize, validate
 from tests.conftest import terrains
-from tests.oracles import oracle_vertex_line
+from tests.oracles import oracle_parse, oracle_vertex_line
+from tests.test_golden import golden_corpus
 
 SQUARE_VALLEY_TEXT = "4\n0 10\n0 0\n10 0\n10 10\n"
 
@@ -44,6 +48,124 @@ def vertex_lines(draw):
         keep = draw(st.sampled_from([at, at + 1]))
         line = line[:at] + draw(st.sampled_from(["", draw(chars)])) + line[keep:]
     return line
+
+
+HUGE = "9" * (sys.get_int_max_str_digits() + 1)
+# extra lines the format skips or refuses, and values it refuses or that
+# Terrain refuses
+EXTRA_LINES = ["", " ", "\t \t", "#", "# note", " \t# 1 2", "#\x0b", "1 2", "3", "1 2 3", "x"]
+ODD_VALUES = ["+7", "-0", "007", "+-1", "1_0", "1073741825", "-1073741825", HUGE, "\u0661", ""]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A serialized terrain, its header maybe off by one or negated, with up
+    to four more edits, joined with "\n", "\r\n" or "\r" (one for all lines
+    or one per line) and with or without a final line end."""
+
+    lines = serialize(draw(terrains(max_steps=6))).split("\n")[:-1]
+    n = int(lines[0])
+    lines[0] = str(draw(st.sampled_from([n, n, n, n - 1, n + 1, -n])))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["line", "line", "vertex", "value", "blanks", "foreign", "drop"]))
+        if edit == "line":
+            lines.insert(i, draw(st.sampled_from(EXTRA_LINES)))
+        elif edit == "vertex":
+            lines[i:i + 1] = [draw(vertex_lines())]
+        elif edit == "value" and i < len(lines):
+            values = lines[i].split(" ")
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_VALUES))
+            lines[i] = " ".join(values)
+        elif edit == "blanks" and i < len(lines):
+            blanks = st.sampled_from(["", " ", "\t"])
+            between = draw(st.sampled_from(["\t", " \t", "  "]))
+            lines[i] = draw(blanks) + lines[i].replace(" ", between) + draw(blanks)
+        elif edit == "foreign" and i < len(lines):
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(foreign_characters) + lines[i][at:]
+        elif edit == "drop" and i < len(lines):
+            del lines[i]
+    newlines = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ends = [draw(newlines)] * len(lines)
+    else:
+        ends = [draw(newlines) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def parse_outcome(read, text):
+    """A parsed terrain with its classes, or the error as its type,
+    message, line and index."""
+
+    try:
+        t = read(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "index", None)
+    return "parsed", t.xs, t.ys, t.classes
+
+
+def variants(text):
+    """text with comments, with blank lines, with CRLF and with CR line
+    ends, and with tabs and extra blanks: all read as the same terrain."""
+
+    lines = text.split("\n")[:-1]
+    commented = ["# a terrain", lines[0], "  # vertices follow"] + [s + "\n#" for s in lines[1:]]
+    blank_lined = ["", lines[0], " "] + [s + "\n\t" for s in lines[1:]]
+    tabbed = ["\t" + s.replace(" ", " \t ") + " " for s in lines]
+    return [
+        text,
+        "\n".join(commented) + "\n",
+        "\n".join(blank_lined),
+        text.replace("\n", "\r\n"),
+        text.replace("\n", "\r"),
+        "\n".join(tabbed) + "\n",
+    ]
+
+
+class TestBulkParse:
+    """parse reads valid text in bulk; the per-line reader kept in
+    tests/oracles.py is the reference for every outcome."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(mutated_texts())
+    @example("")
+    @example("\n")
+    @example("0\n")
+    @example("-1\n")
+    @example("2\n0 0\n0 5")
+    @example("2\r\n0 0\r0 5\n")
+    @example("3\n0 0\n0 5\n")
+    @example("1\n0 0\n0 5\n")
+    @example(f"{HUGE}\n")
+    @example(f"2\n0 0\n0 {HUGE}\n")
+    @example("2\n0 0\n0 1073741825\n")
+    @example("2\n0 0\n0 0\n")
+    @example("# c\n\n 2 \n\t0\t+0\n  # c\n-0 -5 \n\n#")
+    def test_outcomes_match_the_per_line_reader(self, text):
+        expected = parse_outcome(oracle_parse, text)
+        if expected[0] is ParseError:
+            assert parse_outcome(parse, text) == expected
+            return
+        # text in the format never reaches the per-line reader
+        refuse = AssertionError("the per-line reader ran on text in the format")
+        with mock.patch.object(terrain_io_module, "_parse_by_line", side_effect=refuse):
+            assert parse_outcome(parse, text) == expected
+
+    def test_valid_input_never_reaches_a_locator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a locator ran on valid input")
+
+        monkeypatch.setattr(terrain_io_module, "_parse_by_line", refuse)
+        monkeypatch.setattr(geometry_module, "_check_invariants", refuse)
+        for t in golden_corpus():
+            assert Terrain(t.xs, t.ys) == t
+            for text in variants(serialize(t)):
+                assert parse(text) == t
+        with pytest.raises(AssertionError):
+            parse("2\n0 0\n0 x\n")
 
 
 class TestParse:

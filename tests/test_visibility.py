@@ -13,7 +13,6 @@ from terrainguard import (
     build,
     candidate_guards,
     convex_indices,
-    descending_staircase,
     sees,
     validate,
     visibility_relation,
@@ -21,6 +20,7 @@ from terrainguard import (
 from tests.conftest import (
     ascending_staircase,
     comb_under_spike,
+    descending_staircase,
     staircase_over_comb,
     terrains,
     tooth_wall_spike,
