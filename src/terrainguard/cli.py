@@ -3,9 +3,9 @@
 Reads a terrain from a file or generates one from a seed, prints a
 line-oriented solution report, and signals the outcome through the exit
 code: 0 solved (optimal, or partial when --allow-partial asked for it),
-1 input error, 2 infeasible without --allow-partial, 3 the --oracle
-checks (pairwise visibility, brute-force optimum) disagreed with the
-solver (a bug, never expected).
+1 input error or an --svg file that cannot be written, 2 infeasible
+without --allow-partial, 3 the --oracle checks (pairwise visibility,
+brute-force optimum) disagreed with the solver (a bug, never expected).
 """
 
 from __future__ import annotations
@@ -165,8 +165,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     if args.svg:
         sol = result if isinstance(result, GuardSolution) else result.partial
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(emit_svg(terrain, sol))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(emit_svg(terrain, sol))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
     if oracle_code != EXIT_OK:
         return oracle_code

@@ -12,15 +12,18 @@ A matrix with no such induced pattern is in standard greedy form, and a
 simple one-pass greedy finds a provably minimum cover on it (see solver).
 Rows are stored sparsely, as the increasing column indices of their ones,
 so a matrix takes memory in proportion to the number of visible pairs.
-The visibility sweep yields the rows in this order: solve consumes them
-without a matrix, and visibility_relation collects them into a CoverMatrix,
-which validates every row it is given, for the form check and the oracles.
+The visibility sweep yields the targets in row order, each with its guards
+as reflex vertices nearest first: solve consumes them without a matrix, and
+visibility_relation renames the guards to these columns and collects the
+rows into a CoverMatrix, which validates every row it is given, for the
+form check and the oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import ge
 from typing import NamedTuple
 
@@ -53,16 +56,24 @@ class CoverMatrix:
     col_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # tuples keep the frozen matrix immutable
-        for name in ("rows", "row_labels", "col_labels"):
+        # tuples, every row included, keep the frozen matrix immutable
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        for name in ("row_labels", "col_labels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.row_labels) != len(self.rows):
             raise ValueError(
                 f"{len(self.rows)} rows need as many row labels, got {len(self.row_labels)}"
             )
         width = len(self.col_labels)
+        # one pass over all columns; only when it fails does each row check types
+        ints = {*map(type, chain.from_iterable(self.rows))} <= {int}
         for i, row in enumerate(self.rows):
-            if row and (row[0] < 0 or row[-1] >= width or any(map(ge, row, row[1:]))):
+            if row and (
+                (not ints and {*map(type, row)} != {int})
+                or row[0] < 0
+                or row[-1] >= width
+                or any(map(ge, row, row[1:]))
+            ):
                 raise ValueError(
                     f"row {i} must hold strictly increasing columns in [0, {width}), got {row}"
                 )

@@ -46,6 +46,11 @@ class GenSpec:
     max_rise: int = 10
 
     def __post_init__(self) -> None:
+        # exactly int, as for Terrain's coordinates: no bool, float or str
+        for name in ("seed", "steps", "max_run", "max_rise"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.max_run < 1:

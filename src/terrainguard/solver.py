@@ -4,11 +4,12 @@ After a fixed row and column permutation the guarding set-cover matrix has
 no [[1,1],[1,0]] pattern: it is in standard greedy form, hence totally
 balanced (Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6(4),
 1985), and a one-pass greedy covers it minimally.  solve runs that greedy
-on the visibility sweep's rows as they come: a row no chosen guard covers
-forces its highest column.  A column shared by two forcing rows would
-complete the pattern, so the forcing rows are a packing as large as the
-cover, which proves it minimum by weak LP duality; solve checks that in
-O(pairs) and raises NotGreedyForm where it fails.  A brute-force
+on the visibility sweep's targets as they come: a target no chosen guard
+covers forces its farthest guard, its row's highest column.  A guard
+shared by two forcing targets would complete the pattern, so the forcing
+targets are a packing as large as the cover, which proves it minimum by
+weak LP duality; solve checks that in O(pairs) and raises NotGreedyForm,
+naming matrix rows and columns, where it fails.  A brute-force
 subset-enumeration oracle is the independent correctness reference.
 
 Terrains where some convex vertex is seen by no reflex vertex at all have
@@ -25,7 +26,7 @@ from typing import Mapping
 
 from .covermatrix import CoverMatrix, Violation, find_greedy_form_violation
 from .geometry import Terrain
-from .visibility import target_rows
+from .visibility import _columns, target_rows
 
 BRUTE_FORCE_COLUMN_LIMIT = 25
 
@@ -152,36 +153,35 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     iteration order.  A failed packing check raises NotGreedyForm.
     """
 
-    col_labels = [0] * (t.n // 2)
-    # per column: its position in choice order, and the choice whose forcing
-    # row holds it; k' marks a column not chosen, or not held
-    unchosen = len(col_labels)
-    rank = [unchosen] * unchosen
-    owner = [unchosen] * unchosen
-    chosen: list[int] = []  # columns in choice order
+    n = t.n
+    # per guard: its position in choice order, and the choice whose forcing
+    # row holds it; n marks a guard not chosen, or not held
+    rank = [n] * n
+    owner = [n] * n
+    chosen: list[int] = []  # guards in choice order
     forcing: list[int] = []  # the row that forced each
-    first_cover = [-1] * t.n  # per covered target, its first chosen column
+    first_cover = [-1] * n  # per covered target, its first chosen guard
     unguardable: list[int] = []
-    rows = target_rows(t, col_labels)
-    for i, (c, row) in enumerate(rows):
-        if not row:
+    rows = target_rows(t)
+    for i, (c, guards) in enumerate(rows):
+        if not guards:
             if not allow_partial:
                 # no cover exists: only the other unguardable targets are left to find
                 return InfeasibilityReport(sorted([c, *(d for d, other in rows if not other)]))
             unguardable.append(c)
             continue
-        r = min(map(rank.__getitem__, row))
-        if r == unchosen:
+        r = min(map(rank.__getitem__, guards))
+        if r == n:
             r = len(chosen)
-            for j in row:
-                if owner[j] != unchosen:
-                    # the earlier forcing row's choice is missing here
-                    raise NotGreedyForm(Violation(forcing[owner[j]], i, j, chosen[owner[j]]))
-                owner[j] = r
-            rank[row[-1]] = r
-            chosen.append(row[-1])
+            for g in guards:
+                if owner[g] != n:
+                    # the earlier forcing row's choice is missing here; name both by column
+                    o, cols = owner[g], _columns(t)
+                    raise NotGreedyForm(Violation(forcing[o], i, cols.index(g), cols.index(chosen[o])))
+                owner[g] = r
+            rank[guards[-1]] = r
+            chosen.append(guards[-1])
             forcing.append(i)
         first_cover[c] = chosen[r]
-    assignment = ((c, col_labels[j]) for c, j in enumerate(first_cover) if j >= 0)
-    solution = GuardSolution(sorted(col_labels[j] for j in chosen), assignment)
+    solution = GuardSolution(sorted(chosen), ((c, g) for c, g in enumerate(first_cover) if g >= 0))
     return InfeasibilityReport(sorted(unguardable), solution) if unguardable else solution

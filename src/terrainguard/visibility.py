@@ -11,15 +11,15 @@ sightline even though no vertex has an x strictly inside the interval.
 
 Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation is one monotone-stack pass per side, O(n + hops)
-with hops = Theta(n^2) only on adversarial inputs.  The passes meet the
-targets in row order and their guards in column order, so the sweep fixes
-the cover matrix's order and yields its rows, which solve consumes as they
-come and visibility_relation collects into the validated CoverMatrix.
+with hops = Theta(n^2) only on adversarial inputs.  The passes yield the
+targets in row order, each with its guards nearest first; solve consumes
+them as they come, and visibility_relation numbers the guards by column
+and collects the rows into the validated CoverMatrix.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from operator import gt
 from typing import Iterable, Iterator
 
@@ -88,48 +88,53 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
 
 
 def visibility_relation(t: Terrain) -> CoverMatrix:
-    """The guards of every convex vertex, as the permuted cover matrix
-    that target_rows yields row by row."""
+    """The permuted cover matrix: target_rows with guards renamed to columns."""
 
-    col_labels = [0] * (t.n // 2)
-    pairs = list(target_rows(t, col_labels))
-    return CoverMatrix([row for _, row in pairs], [c for c, _ in pairs], col_labels)
+    cols = _columns(t)
+    col_of = [0] * t.n
+    for j, g in enumerate(cols):
+        col_of[g] = j
+    rows = list(target_rows(t))
+    renamed = [tuple(map(col_of.__getitem__, gs)) if gs else () for _, gs in rows]
+    return CoverMatrix(renamed, [c for c, _ in rows], cols)
 
 
-def target_rows(t: Terrain, col_labels: list[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Each convex vertex with its cover matrix row, in row order, while
-    ``col_labels`` (n/2 long) gets each column's vertex before a row names it.
+def _columns(t: Terrain) -> list[int]:
+    """The cover matrix's columns, in which every target's guards come
+    nearest first: right-reflex vertices right to left, then left-reflex
+    vertices left to right."""
 
-    One stack pass per side (see _sweep): the even vertices left to right
-    (right-convex rows, right-reflex columns counting down from R - 1, R the
-    number of right-reflex vertices), then the odd vertices right to left
-    (left-convex rows, left-reflex columns counting down from n/2 - 1).
-    """
+    ys = t.ys
+    right = compress(range(len(ys) - 2, -1, -2), map(gt, ys[-2::-2], ys[-1::-2]))
+    return [*right, *compress(range(1, len(ys), 2), map(gt, ys[1::2], ys[0::2]))]
+
+
+def target_rows(t: Terrain) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each convex vertex with the reflex vertices that see it, nearest
+    first, in row order: one stack pass per side (see _sweep), the even
+    vertices left to right, then the odd vertices right to left."""
 
     xs, ys = t.xs, t.ys
     n = len(ys)
-    shared = (xs, ys, max(ys), col_labels)
-    right_cols = sum(map(gt, ys[0::2], ys[1::2]))
+    shared = (xs, ys, max(ys))
     return chain(
-        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), right_cols - 1, *shared),
-        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), n // 2 - 1, *shared),
+        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), *shared),
+        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), *shared),
     )
 
 
 def _sweep(
     vertices: Iterable[tuple[int, int, int, int]],
-    col: int,
     xs: tuple[int, ...],
     ys: tuple[int, ...],
     top_y: int,
-    col_labels: list[int],
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield one side's targets with their rows, and label its columns
-    counting down from ``col``, in the order the sweep meets them.
+    """Yield one side's targets with their guards, in the order the sweep
+    meets them.
 
     ``vertices`` yields ``(v, x, y, y_partner)`` for one parity class in sweep
     order; v is a guard, the top of its vertical edge, when ``y > y_partner``,
-    else a target, which looks back along the sweep.  The stack holds columns.
+    else a target, which looks back along the sweep.
 
     Once a vertex has popped every entry no higher than itself, the stack is
     its chain: each vertex behind it that is strictly higher than all
@@ -140,8 +145,6 @@ def _sweep(
       its horizontal neighbour towards the target, which pops for it.
     - Popping at a target is safe: a popped entry is no higher than the
       target, which lies between it and every later target.
-    - Nearest first is increasing column order: the nearer of two entries
-      was pushed later, so its column is smaller.
 
     The walk keeps the extreme blocking slope as an integer vector (ux, uy)
     from the target, ux > 0 a horizontal distance.  An entry is visible
@@ -152,20 +155,17 @@ def _sweep(
     vertex at height ``top_y`` could not beat the extreme.  O(n + hops).
     """
 
-    stack: list[int] = []  # columns; their vertices' heights strictly decrease upward
+    stack: list[int] = []  # guards; their heights strictly decrease upward
     for v, x, y, y_partner in vertices:
-        while stack and ys[col_labels[stack[-1]]] <= y:
+        while stack and ys[stack[-1]] <= y:
             stack.pop()
         if y > y_partner:
-            col_labels[col] = v
-            stack.append(col)
-            col -= 1
+            stack.append(v)
             continue
         top = top_y - y
         ux, uy = 1, 0
         row = []
-        for j in reversed(stack):
-            g = col_labels[j]
+        for g in reversed(stack):
             wx = abs(xs[g] - x)
             # best remaining slope is top / wx; once it cannot beat uy / ux the
             # walk is done (both denominators positive)
@@ -173,6 +173,6 @@ def _sweep(
                 break
             wy = ys[g] - y
             if ux * wy - uy * wx > 0:
-                row.append(j)
+                row.append(g)
                 ux, uy = wx, wy
         yield v, tuple(row)

@@ -208,6 +208,13 @@ class TestRun:
         ET.fromstring(text)
         assert 'class="guard"' not in text
 
+    def test_unwritable_svg_is_an_input_error(self, tmp_path, capsys):
+        svg_path = tmp_path / "no" / "such" / "dir" / "x.svg"
+        assert run(["--random", "1:3", "--svg", str(svg_path)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out.startswith("status: ")
+
     def test_quiet(self, valley_file, capsys):
         assert run(["--input", valley_file, "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""

@@ -57,6 +57,15 @@ class TestBuild:
             m.rows.append((0,))
         assert m.k == 1
 
+    def test_every_row_is_a_tuple(self):
+        rows = [[0, 1]]
+        m = CoverMatrix(rows, [0], [5, 6])
+        assert m.rows == ((0, 1),) and type(m.rows[0]) is tuple
+        with pytest.raises(AttributeError):
+            m.rows[0].append(1)
+        rows[0].append(1)
+        assert m.rows == ((0, 1),)
+
     @pytest.mark.parametrize(
         "rows, row_labels",
         [([(0,), (0,)], [7]), ([(0,)], [7, 8, 9])],
@@ -189,6 +198,13 @@ class TestRows:
             CoverMatrix(((0, 2),), (0,), (0, 1))
         with pytest.raises(ValueError):
             CoverMatrix(((-1,),), (0,), (0, 1))
+
+    @pytest.mark.parametrize(
+        "row", [(0.5,), (True,), (0, 1.0), ("0",)], ids=["float", "bool", "float-after-int", "str"]
+    )
+    def test_rejects_columns_that_are_not_ints(self, row):
+        with pytest.raises(ValueError, match="row 0 must hold strictly increasing columns"):
+            CoverMatrix((row,), (0,), (5, 6))
 
     def test_empty_row_is_falsy(self):
         m = CoverMatrix(((), (1,)), (0, 1), (0, 1))

@@ -79,6 +79,18 @@ class TestRandomTerrain:
             GenSpec(seed=0, steps=1, max_run=0)
         with pytest.raises(ValueError):
             GenSpec(seed=0, steps=1, max_rise=0)
+        # exactly int, as for Terrain's coordinates
+        for name, fields in [
+            ("seed", {"seed": 1.5, "steps": 3}),
+            ("seed", {"seed": "1", "steps": 3}),
+            ("seed", {"seed": True, "steps": 3}),
+            ("steps", {"seed": 1, "steps": 3.0}),
+            ("steps", {"seed": 1, "steps": True}),
+            ("max_run", {"seed": 1, "steps": 3, "max_run": 2.5}),
+            ("max_rise", {"seed": 1, "steps": 3, "max_rise": False}),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be an int"):
+                GenSpec(**fields)
 
     def test_bounds_guard(self):
         with pytest.raises(BoundsExceeded):

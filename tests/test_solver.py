@@ -299,19 +299,23 @@ class TestSolveAgainstMatrixPipeline:
 
 
 class TestCertificate:
-    """solve checks that its forcing rows pack; forged rows stand in for the sweep."""
+    """solve checks that its forcing rows pack; forged rows stand in for the sweep.
+
+    The forged guards are blocked_ledge's reflex vertices, nearest first, so
+    in its column order (2, 0, 5) they name the columns of ``entries``.
+    """
 
     @staticmethod
     def _forge(monkeypatch, rows):
-        def forged(t, col_labels):
-            col_labels[:] = [0, 2, 5]
+        def forged(t):
             return iter(rows)
 
         monkeypatch.setattr(solver_module, "target_rows", forged)
 
     def test_forbidden_pattern_breaks_the_packing(self, monkeypatch, blocked_ledge):
+        assert visibility_relation(blocked_ledge).col_labels == (2, 0, 5)
         entries = [[0, 1, 1], [1, 1, 0]]
-        self._forge(monkeypatch, [(1, (1, 2)), (3, (0, 1))])
+        self._forge(monkeypatch, [(1, (0, 5)), (3, (2, 0))])
         with pytest.raises(NotGreedyForm) as exc:
             solve(blocked_ledge)
         v = exc.value.violation
@@ -321,5 +325,5 @@ class TestCertificate:
 
     def test_pattern_free_rows_solve(self, monkeypatch, blocked_ledge):
         assert oracle_greedy_form_violation([[0, 1, 1], [0, 0, 1], [1, 0, 0]]) is None
-        self._forge(monkeypatch, [(1, (1, 2)), (3, (2,)), (4, (0,))])
-        assert _outcome(solve(blocked_ledge)) == ("solution", (0, 5), [(1, 5), (3, 5), (4, 0)])
+        self._forge(monkeypatch, [(1, (0, 5)), (3, (5,)), (4, (2,))])
+        assert _outcome(solve(blocked_ledge)) == ("solution", (2, 5), [(1, 5), (3, 5), (4, 2)])

@@ -278,3 +278,13 @@ def test_relation_matches_candidate_guards_on_random_terrains(t):
     rel = by_target(visibility_relation(t))
     for c in convex_indices(t):
         assert rel.get(c, ()) == candidate_guards(t, c), ((t.xs, t.ys), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terrains())
+def test_target_rows_name_guards_nearest_first(t):
+    rows = dict(visibility_module.target_rows(t))
+    assert tuple(sorted(rows)) == convex_indices(t)
+    for c in convex_indices(t):
+        nearest_first = sorted(candidate_guards(t, c), key=lambda g: abs(t.xs[g] - t.xs[c]))
+        assert rows[c] == tuple(nearest_first), ((t.xs, t.ys), c)
