@@ -9,7 +9,19 @@ totally balanced, so a one-pass greedy returns a provably minimum cover in
 polynomial time; a brute-force oracle double-checks it at desk scale.
 """
 
-from .covermatrix import CoverMatrix, Violation, build, find_greedy_form_violation, format_matrix
+from .covermatrix import (
+    CoverMatrix,
+    EmptyRow,
+    NotGreedyForm,
+    TooManyColumns,
+    Violation,
+    brute_force_optimum,
+    build,
+    find_greedy_form_violation,
+    format_matrix,
+    greedy_cover,
+    visibility_relation,
+)
 from .generator import BoundsExceeded, GenSpec, SplitMix64, random_terrain
 from .geometry import (
     COORD_LIMIT,
@@ -26,19 +38,10 @@ from .geometry import (
     convex_indices,
     validate,
 )
-from .solver import (
-    EmptyRow,
-    GuardSolution,
-    InfeasibilityReport,
-    NotGreedyForm,
-    TooManyColumns,
-    brute_force_optimum,
-    greedy_cover,
-    solve,
-)
+from .solver import GuardSolution, InfeasibilityReport, solve
 from .svg import emit_svg
 from .terrain_io import ParseError, parse, serialize
-from .visibility import NotConvex, candidate_guards, sees, visibility_relation
+from .visibility import NotConvex, candidate_guards, sees
 
 __version__ = "0.1.0"
 

@@ -4,8 +4,8 @@ Reads a terrain from a file or generates one from a seed, prints a
 line-oriented solution report, and signals the outcome through the exit
 code: 0 solved (optimal, or partial when --allow-partial asked for it),
 1 input error or an --svg file that cannot be written, 2 infeasible
-without --allow-partial, 3 the --oracle checks (pairwise visibility,
-brute-force optimum) disagreed with the solver (a bug, never expected).
+without --allow-partial, 3 an --oracle check (visibility, feasibility,
+assignment, brute-force optimum) disagreed with solve (a bug, never expected).
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ import re
 import sys
 from typing import Sequence
 
-from .covermatrix import CoverMatrix, format_matrix
+from .covermatrix import (
+    BRUTE_FORCE_COLUMN_LIMIT,
+    CoverMatrix,
+    brute_force_optimum,
+    format_matrix,
+    visibility_relation,
+)
 from .generator import GenSpec, random_terrain
 from .geometry import Terrain, ValidationError
-from .solver import (
-    BRUTE_FORCE_COLUMN_LIMIT,
-    GuardSolution,
-    InfeasibilityReport,
-    brute_force_optimum,
-    solve,
-)
+from .solver import GuardSolution, InfeasibilityReport, solve
 from .svg import emit_svg
 from .terrain_io import INTEGER, ParseError, parse
-from .visibility import candidate_guards, visibility_relation
+from .visibility import candidate_guards, sees
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -119,6 +119,11 @@ def _run_oracle(
         return EXIT_OK, "oracle: match (infeasible)"
     # a partial cover is optimal over the guardable rows only
     rows, labels = tuple(m.rows[i] for i in keep), tuple(m.row_labels[i] for i in keep)
+    targets, guards = set(labels), set(sol.guards)
+    for c in sorted(targets | sol.assignment.keys()):
+        g = sol.assignment.get(c)
+        if c not in targets or g not in guards or g == c or not sees(t, g, c):
+            return EXIT_ORACLE_MISMATCH, f"oracle: MISMATCH (assignment of vertex {c})"
     opt, _ = brute_force_optimum(CoverMatrix(rows, labels, m.col_labels))
     if opt == sol.size:
         return EXIT_OK, f"oracle: match ({sol.size} = {opt})"

@@ -8,26 +8,26 @@ pattern [[1,1],[1,0]]:
   rows:    right-convex vertices left to right, then left-convex right to left
   columns: right-reflex vertices right to left, then left-reflex left to right
 
-A matrix with no such induced pattern is in standard greedy form, and a
-simple one-pass greedy finds a provably minimum cover on it (see solver).
-Rows are stored sparsely, as the increasing column indices of their ones,
-so a matrix takes memory in proportion to the number of visible pairs.
-The visibility sweep yields the targets in row order, each with its guards
-as reflex vertices nearest first: solve consumes them without a matrix, and
-visibility_relation renames the guards to these columns and collects the
-rows into a CoverMatrix, which validates every row it is given, for the
-form check and the oracles.
+Such a matrix is in standard greedy form, hence totally balanced (Hoffman,
+Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6(4), 1985): greedy_cover's one
+pass covers it minimally, checked against brute_force_optimum.  Rows hold
+the increasing columns of their ones.  Only this module numbers columns:
+visibility_relation renames the sweep's guards and collects the rows into a
+validated CoverMatrix for --matrix, --oracle and the form check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from operator import ge
+from itertools import chain, combinations, compress
+from operator import ge, gt
 from typing import NamedTuple
 
 from .geometry import Terrain
+from .visibility import target_rows
+
+BRUTE_FORCE_COLUMN_LIMIT = 25
 
 
 class Violation(NamedTuple):
@@ -40,15 +40,34 @@ class Violation(NamedTuple):
     j2: int
 
 
+class EmptyRow(ValueError):
+    """Row ``row`` (labelled ``label``) has no one: no guard covers it."""
+
+    def __init__(self, row: int, label: int):
+        super().__init__(f"row {row} (vertex {label}) has no covering column")
+        self.row = row
+        self.label = label
+
+
+class NotGreedyForm(ValueError):
+    def __init__(self, violation: Violation):
+        super().__init__(f"matrix contains forbidden pattern at {violation}")
+        self.violation = violation
+
+
+class TooManyColumns(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class CoverMatrix:
     """0/1 matrix in the permuted order, rows stored as sparse column tuples.
 
     ``rows[i]`` is the strictly increasing tuple of columns j whose guard at
     ``col_labels[j]`` sees the convex vertex at ``row_labels[i]``; a row
-    nobody covers is the empty (falsy) tuple.  ``entries`` materialises the
-    dense 0/1 form on demand; it is meant for small matrices and debugging.
-    ``pairs`` lists the ones as vertex pairs.
+    nobody covers is the empty (falsy) tuple.  Labels are distinct ints.
+    ``entries`` materialises the dense 0/1 form on demand, for small
+    matrices and debugging; ``pairs`` lists the ones as vertex pairs.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -59,7 +78,10 @@ class CoverMatrix:
         # tuples, every row included, keep the frozen matrix immutable
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for name in ("row_labels", "col_labels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            labels = tuple(getattr(self, name))
+            if not {*map(type, labels)} <= {int} or len({*labels}) != len(labels):
+                raise ValueError(f"{name} must be distinct ints, got {labels}")
+            object.__setattr__(self, name, labels)
         if len(self.row_labels) != len(self.rows):
             raise ValueError(
                 f"{len(self.rows)} rows need as many row labels, got {len(self.row_labels)}"
@@ -105,6 +127,26 @@ class CoverMatrix:
         return tuple((g, c) for c, g in by_target)
 
 
+def visibility_relation(t: Terrain) -> CoverMatrix:
+    """The permuted cover matrix: target_rows with guards renamed to columns."""
+
+    cols = _columns(t)
+    col_of = {g: j for j, g in enumerate(cols)}
+    rows = list(target_rows(t))
+    renamed = [tuple(map(col_of.__getitem__, gs)) if gs else () for _, gs in rows]
+    return CoverMatrix(renamed, [c for c, _ in rows], cols)
+
+
+def _columns(t: Terrain) -> list[int]:
+    """The cover matrix's columns, in which every target's guards come
+    nearest first: right-reflex vertices right to left, then left-reflex
+    vertices left to right."""
+
+    ys = t.ys
+    right = compress(range(len(ys) - 2, -1, -2), map(gt, ys[-2::-2], ys[-1::-2]))
+    return [*right, *compress(range(1, len(ys), 2), map(gt, ys[1::2], ys[0::2]))]
+
+
 def build(t: Terrain, rel: CoverMatrix) -> CoverMatrix:
     """Identity: ``visibility_relation`` already returns the matrix.  Kept
     only for the benchmark harness; ``t`` is not read."""
@@ -141,6 +183,54 @@ def find_greedy_form_violation(m: CoverMatrix) -> Violation | None:
                 j2 = next(j for j in right if j not in row)
                 return Violation(i1, i2, j1, j2)
     return None
+
+
+def _reject_empty_rows(m: CoverMatrix) -> None:
+    if not all(m.rows):
+        i = m.rows.index(())
+        raise EmptyRow(i, m.row_labels[i])
+
+
+def greedy_cover(m: CoverMatrix, check_form: bool = True) -> frozenset[int]:
+    """Minimum-cardinality column cover of a standard-greedy-form matrix.
+
+    ``check_form`` runs the defensive pattern check first; turn it off only
+    when the matrix is known clean and speed matters.
+    """
+
+    if check_form and (violation := find_greedy_form_violation(m)) is not None:
+        raise NotGreedyForm(violation)
+    _reject_empty_rows(m)
+    chosen: set[int] = set()
+    for row in m.rows:
+        if chosen.isdisjoint(row):
+            chosen.add(row[-1])
+    return frozenset(chosen)
+
+
+def brute_force_optimum(m: CoverMatrix) -> tuple[int, tuple[int, ...]]:
+    """Exact minimum cover by exhaustive search, smallest cardinality first.
+
+    Returns (size, witness) with the lexicographically smallest witness at
+    the optimal size.  Independent of the greedy path on purpose: this is
+    the oracle the greedy is tested against.
+    """
+
+    kp = m.k_prime
+    if kp > BRUTE_FORCE_COLUMN_LIMIT:
+        raise TooManyColumns(f"{kp} columns exceeds brute-force limit {BRUTE_FORCE_COLUMN_LIMIT}")
+    _reject_empty_rows(m)
+    if not m.rows:
+        return 0, ()
+    masks = [sum(1 << j for j in row) for row in m.rows]
+    for size in range(1, kp + 1):
+        for cols in combinations(range(kp), size):
+            mask = 0
+            for j in cols:
+                mask |= 1 << j
+            if all(row & mask for row in masks):
+                return size, cols
+    raise AssertionError("full column set must cover once empty rows are excluded")
 
 
 def format_matrix(m: CoverMatrix) -> str:

@@ -1,16 +1,14 @@
 """Exact minimum guard selection, proven minimum on every instance.
 
-After a fixed row and column permutation the guarding set-cover matrix has
-no [[1,1],[1,0]] pattern: it is in standard greedy form, hence totally
-balanced (Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6(4),
-1985), and a one-pass greedy covers it minimally.  solve runs that greedy
-on the visibility sweep's targets as they come: a target no chosen guard
-covers forces its farthest guard, its row's highest column.  A guard
-shared by two forcing targets would complete the pattern, so the forcing
+After a fixed row and column permutation the guarding set-cover matrix is
+in standard greedy form, so a one-pass greedy covers it minimally (see
+covermatrix).  solve runs that greedy on the visibility sweep's targets as
+they come, with no matrix: a target no chosen guard covers forces its
+farthest guard, its row's highest column.  A guard shared by two forcing
+targets would complete the forbidden [[1,1],[1,0]] pattern, so the forcing
 targets are a packing as large as the cover, which proves it minimum by
 weak LP duality; solve checks that in O(pairs) and raises NotGreedyForm,
-naming matrix rows and columns, where it fails.  A brute-force
-subset-enumeration oracle is the independent correctness reference.
+naming matrix rows and columns, where it fails.
 
 Terrains where some convex vertex is seen by no reflex vertex at all have
 no cover; those come back as an InfeasibilityReport rather than an error,
@@ -20,34 +18,12 @@ optionally with a best-possible solution for the guardable subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-from .covermatrix import CoverMatrix, Violation, find_greedy_form_violation
+from .covermatrix import NotGreedyForm, Violation, _columns
 from .geometry import Terrain
-from .visibility import _columns, target_rows
-
-BRUTE_FORCE_COLUMN_LIMIT = 25
-
-
-class EmptyRow(ValueError):
-    """Row ``row`` (labelled ``label``) has no one: no guard covers it."""
-
-    def __init__(self, row: int, label: int):
-        super().__init__(f"row {row} (vertex {label}) has no covering column")
-        self.row = row
-        self.label = label
-
-
-class NotGreedyForm(ValueError):
-    def __init__(self, violation: Violation):
-        super().__init__(f"matrix contains forbidden pattern at {violation}")
-        self.violation = violation
-
-
-class TooManyColumns(ValueError):
-    pass
+from .visibility import target_rows
 
 
 @dataclass(frozen=True)
@@ -88,60 +64,6 @@ class InfeasibilityReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unguardable", tuple(self.unguardable))
-
-
-def _check_form(m: CoverMatrix) -> None:
-    violation = find_greedy_form_violation(m)
-    if violation is not None:
-        raise NotGreedyForm(violation)
-
-
-def _reject_empty_rows(m: CoverMatrix) -> None:
-    if not all(m.rows):
-        i = m.rows.index(())
-        raise EmptyRow(i, m.row_labels[i])
-
-
-def greedy_cover(m: CoverMatrix, check_form: bool = True) -> frozenset[int]:
-    """Minimum-cardinality column cover of a standard-greedy-form matrix.
-
-    ``check_form`` runs the defensive pattern check first; turn it off only
-    when the matrix is known clean and speed matters.
-    """
-
-    if check_form:
-        _check_form(m)
-    _reject_empty_rows(m)
-    chosen: set[int] = set()
-    for row in m.rows:
-        if chosen.isdisjoint(row):
-            chosen.add(row[-1])
-    return frozenset(chosen)
-
-
-def brute_force_optimum(m: CoverMatrix) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum cover by exhaustive search, smallest cardinality first.
-
-    Returns (size, witness) with the lexicographically smallest witness at
-    the optimal size.  Independent of the greedy path on purpose: this is
-    the oracle the greedy is tested against.
-    """
-
-    kp = m.k_prime
-    if kp > BRUTE_FORCE_COLUMN_LIMIT:
-        raise TooManyColumns(f"{kp} columns exceeds brute-force limit {BRUTE_FORCE_COLUMN_LIMIT}")
-    _reject_empty_rows(m)
-    if not m.rows:
-        return 0, ()
-    masks = [sum(1 << j for j in row) for row in m.rows]
-    for size in range(1, kp + 1):
-        for cols in combinations(range(kp), size):
-            mask = 0
-            for j in cols:
-                mask |= 1 << j
-            if all(row & mask for row in masks):
-                return size, cols
-    raise AssertionError("full column set must cover once empty rows are excluded")
 
 
 def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | InfeasibilityReport:

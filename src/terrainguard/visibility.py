@@ -12,18 +12,16 @@ sightline even though no vertex has an x strictly inside the interval.
 Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation is one monotone-stack pass per side, O(n + hops)
 with hops = Theta(n^2) only on adversarial inputs.  The passes yield the
-targets in row order, each with its guards nearest first; solve consumes
-them as they come, and visibility_relation numbers the guards by column
-and collects the rows into the validated CoverMatrix.
+targets in row order, each with its guards as reflex vertices nearest
+first; solve consumes them as they come, and covermatrix numbers the
+guards by column for the matrix views.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import gt
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .covermatrix import CoverMatrix
 from .geometry import LR, RC, RR, Terrain
 
 
@@ -40,6 +38,9 @@ def sees(t: Terrain, a: int, b: int) -> bool:
     blocking vertex that merely touches the segment counts as blocking.
     """
 
+    for name, v in (("a", a), ("b", b)):
+        if type(v) is not int:
+            raise ValueError(f"vertex index {name} must be an int, got {v!r}")
     n = t.n
     if not (0 <= a < n and 0 <= b < n):
         raise IndexError(f"vertex index out of range: {a}, {b} with n={n}")
@@ -69,6 +70,8 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
     the result equals the unpruned scan over every reflex vertex.
     """
 
+    if type(c) is not int:
+        raise ValueError(f"vertex index c must be an int, got {c!r}")
     if not 0 <= c < t.n:
         raise IndexError(f"vertex index out of range: {c} with n={t.n}")
     cls = t.classes[c]
@@ -87,28 +90,6 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
     return tuple(r for r in pruned if sees(t, r, c))
 
 
-def visibility_relation(t: Terrain) -> CoverMatrix:
-    """The permuted cover matrix: target_rows with guards renamed to columns."""
-
-    cols = _columns(t)
-    col_of = [0] * t.n
-    for j, g in enumerate(cols):
-        col_of[g] = j
-    rows = list(target_rows(t))
-    renamed = [tuple(map(col_of.__getitem__, gs)) if gs else () for _, gs in rows]
-    return CoverMatrix(renamed, [c for c, _ in rows], cols)
-
-
-def _columns(t: Terrain) -> list[int]:
-    """The cover matrix's columns, in which every target's guards come
-    nearest first: right-reflex vertices right to left, then left-reflex
-    vertices left to right."""
-
-    ys = t.ys
-    right = compress(range(len(ys) - 2, -1, -2), map(gt, ys[-2::-2], ys[-1::-2]))
-    return [*right, *compress(range(1, len(ys), 2), map(gt, ys[1::2], ys[0::2]))]
-
-
 def target_rows(t: Terrain) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Each convex vertex with the reflex vertices that see it, nearest
     first, in row order: one stack pass per side (see _sweep), the even
@@ -116,10 +97,9 @@ def target_rows(t: Terrain) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     xs, ys = t.xs, t.ys
     n = len(ys)
-    shared = (xs, ys, max(ys))
     return chain(
-        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), *shared),
-        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), *shared),
+        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), xs, ys),
+        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), xs, ys),
     )
 
 
@@ -127,7 +107,6 @@ def _sweep(
     vertices: Iterable[tuple[int, int, int, int]],
     xs: tuple[int, ...],
     ys: tuple[int, ...],
-    top_y: int,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield one side's targets with their guards, in the order the sweep
     meets them.
@@ -151,8 +130,8 @@ def _sweep(
     exactly when its slope strictly beats it, and then becomes it.  The first
     extreme, the target's own horizontal edge, makes the top entry visible.
     A vertex off the chain is no higher than the chain vertex before it and
-    no nearer: neither visible nor the extreme.  The walk stops once even a
-    vertex at height ``top_y`` could not beat the extreme.  O(n + hops).
+    no nearer: neither visible nor the extreme.  The walk stops once even the
+    stack's bottom, the highest vertex behind, cannot beat it.  O(n + hops).
     """
 
     stack: list[int] = []  # guards; their heights strictly decrease upward
@@ -162,7 +141,7 @@ def _sweep(
         if y > y_partner:
             stack.append(v)
             continue
-        top = top_y - y
+        top = ys[stack[0]] - y if stack else 0
         ux, uy = 1, 0
         row = []
         for g in reversed(stack):

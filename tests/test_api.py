@@ -1,9 +1,13 @@
-"""The public surface of the package, pinned name by name.
+"""The public surface of the package, pinned name by name, and the one
+module behind the cover matrix.
 
 Adding or dropping a public name must show up as a diff to this list.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import terrainguard
 
@@ -55,3 +59,24 @@ def test_public_names_are_pinned():
     assert sorted(names) == PUBLIC
     for name in names:
         assert hasattr(terrainguard, name), name
+
+
+def test_the_cover_matrix_sits_behind_one_module():
+    # visibility is the sweep; only covermatrix numbers columns and builds the matrix
+    package = Path(terrainguard.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    imported = [
+        name
+        for node in ast.walk(trees["visibility.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+    ]
+    assert not any("covermatrix" in name.split(".") for name in imported), imported
+    for name in ("_columns", "visibility_relation"):
+        defined_in = [
+            module
+            for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert defined_in == ["covermatrix.py"], (name, defined_in)

@@ -142,6 +142,22 @@ class TestRun:
         assert run(["--input", path, "--oracle"]) == EXIT_ORACLE_MISMATCH
         assert f"oracle: MISMATCH ({message})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "wrong, vertex",
+        [
+            (GuardSolution((0, 3), {1: 0, 2: 3}), 1),  # right size, guards that do not see
+            (GuardSolution((0, 3), {2: 0}), 1),  # a target left out
+            (GuardSolution((0, 3), {0: 3, 1: 3, 2: 0}), 0),  # a reflex vertex assigned
+            (GuardSolution((0, 3), {1: 3, 2: 1}), 2),  # a guard not in the solution
+            (GuardSolution((0, 2, 3), {1: 3, 2: 2}), 2),  # a target guarding itself
+        ],
+        ids=["blind-guards", "missing-target", "extra-target", "unchosen-guard", "self-guard"],
+    )
+    def test_oracle_checks_the_assignment(self, valley_file, capsys, monkeypatch, wrong, vertex):
+        monkeypatch.setattr(cli_module, "solve", lambda t, allow_partial: wrong)
+        assert run(["--input", valley_file, "--oracle"]) == EXIT_ORACLE_MISMATCH
+        assert f"oracle: MISMATCH (assignment of vertex {vertex})" in capsys.readouterr().err
+
     def test_oracle_checks_visibility_pairwise(self, valley_file, capsys, monkeypatch):
         relation = cli_module.visibility_relation
 

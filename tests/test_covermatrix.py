@@ -75,6 +75,21 @@ class TestBuild:
         with pytest.raises(ValueError, match="row labels"):
             CoverMatrix(rows, row_labels, [5])
 
+    @pytest.mark.parametrize(
+        "row_labels, col_labels, name",
+        [
+            ([True, 2], [5], "row_labels"),
+            ([0, "x"], [5], "row_labels"),
+            ([0, 0], [5], "row_labels"),
+            ([0, 2], [5.5], "col_labels"),
+            ([0, 2], [7, 7], "col_labels"),
+        ],
+        ids=["bool-row", "str-row", "repeated-row", "float-col", "repeated-col"],
+    )
+    def test_rejects_labels_that_are_not_distinct_ints(self, row_labels, col_labels, name):
+        with pytest.raises(ValueError, match=f"{name} must be distinct ints"):
+            CoverMatrix([(0,), (0,)], row_labels, col_labels)
+
     def test_square_valley_matrix(self, square_valley):
         m = build(square_valley, visibility_relation(square_valley))
         assert m.row_labels == (2, 1)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 import terrainguard.visibility as visibility_module
 from terrainguard import (
     CoverMatrix,
+    GenSpec,
     NotConvex,
     VertexClass,
     build,
     candidate_guards,
     convex_indices,
+    random_terrain,
     sees,
     validate,
     visibility_relation,
@@ -35,8 +37,9 @@ FOUR_CLASS = [
 ]
 
 
-def sweep_lines(t) -> int:
-    """Lines the stack sweep executes on t: a deterministic measure of its work."""
+def sweep_lines(t, last: int | None = None) -> int:
+    """Lines the stack sweep executes on t, up to the row of target ``last``
+    when given: a deterministic measure of its work."""
 
     code = visibility_module._sweep.__code__
     count = 0
@@ -50,7 +53,9 @@ def sweep_lines(t) -> int:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
     try:
-        visibility_relation(t)
+        for c, _ in visibility_module.target_rows(t):
+            if c == last:
+                break
     finally:
         sys.settrace(previous)
     return count
@@ -108,6 +113,11 @@ class TestSees:
         with pytest.raises(ValueError):
             sees(square_valley, 2, 2)
 
+    @pytest.mark.parametrize("a, b, name", [(True, 3, "a"), (0, 2.0, "b"), ("0", 2, "a")])
+    def test_rejects_indices_that_are_not_ints(self, square_valley, a, b, name):
+        with pytest.raises(ValueError, match=f"vertex index {name} must be an int"):
+            sees(square_valley, a, b)
+
     def test_symmetric_on_corpus(self, corpus):
         for t in corpus[:40]:
             for a in range(t.n):
@@ -138,6 +148,11 @@ class TestCandidateGuards:
         for c in (-1, t.n):
             with pytest.raises(IndexError):
                 candidate_guards(t, c)
+
+    @pytest.mark.parametrize("c", [True, 1.0, "1"])
+    def test_rejects_indices_that_are_not_ints(self, square_valley, c):
+        with pytest.raises(ValueError, match="vertex index c must be an int"):
+            candidate_guards(square_valley, c)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_descending_staircase_bottoms_unguardable(self, k):
@@ -259,6 +274,20 @@ class TestChainSweepAdversaries:
         # keeping a rim of equal height on the stack, or walking on past the
         # early stop, makes Theta(m^2) hops here, against n = 4m + 2 or 6m
         assert sweep_lines(t) <= 30 * t.n
+
+    @pytest.mark.parametrize(
+        "t",
+        [staircase_over_comb(30), random_terrain(GenSpec(seed=5, steps=300))],
+        ids=["early-stop", "random"],
+    )
+    def test_tall_vertex_ahead_does_not_lengthen_the_walk(self, t):
+        # the early stop's bound is the highest vertex behind the target, the
+        # stack's bottom entry, so a spike after the last right-convex target
+        # leaves the left-to-right pass up to it exactly as it was
+        last = max(c for c in convex_indices(t) if t.classes[c] is VertexClass.RIGHT_CONVEX)
+        x, y, span = t.xs[-1] + 1, t.ys[-1], max(t.ys) - min(t.ys)
+        spiked = validate([*zip(t.xs, t.ys), (x, y), (x, max(t.ys) + 100 * span + 1)])
+        assert sweep_lines(spiked, last) == sweep_lines(t, last)
 
     def test_tooth_bottoms_see_next_top_wall_and_spike(self):
         m = 5
