@@ -11,20 +11,22 @@ pattern [[1,1],[1,0]]:
 Such a matrix is in standard greedy form, hence totally balanced (Hoffman,
 Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6(4), 1985): greedy_cover's one
 pass covers it minimally, checked against brute_force_optimum.  Rows hold
-the increasing columns of their ones.  Only this module numbers columns:
-visibility_relation renames the sweep's guards and collects the rows into a
-validated CoverMatrix for --matrix, --oracle and the form check.
+the increasing columns of their ones.  Only this module numbers columns,
+reading each vertex's class from the Terrain: visibility_relation renames
+the sweep's guards and collects the rows into a validated CoverMatrix for
+--matrix, --oracle and the form check.  solve builds no matrix; it calls
+_columns only to name a NotGreedyForm violation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
-from operator import ge, gt
+from itertools import combinations
+from operator import ge
 from typing import NamedTuple
 
-from .geometry import Terrain
+from .geometry import LR, RR, Terrain
 from .visibility import target_rows
 
 BRUTE_FORCE_COLUMN_LIMIT = 25
@@ -87,11 +89,9 @@ class CoverMatrix:
                 f"{len(self.rows)} rows need as many row labels, got {len(self.row_labels)}"
             )
         width = len(self.col_labels)
-        # one pass over all columns; only when it fails does each row check types
-        ints = {*map(type, chain.from_iterable(self.rows))} <= {int}
         for i, row in enumerate(self.rows):
             if row and (
-                (not ints and {*map(type, row)} != {int})
+                {*map(type, row)} != {int}
                 or row[0] < 0
                 or row[-1] >= width
                 or any(map(ge, row, row[1:]))
@@ -133,7 +133,7 @@ def visibility_relation(t: Terrain) -> CoverMatrix:
     cols = _columns(t)
     col_of = {g: j for j, g in enumerate(cols)}
     rows = list(target_rows(t))
-    renamed = [tuple(map(col_of.__getitem__, gs)) if gs else () for _, gs in rows]
+    renamed = [tuple(map(col_of.__getitem__, gs)) for _, gs in rows]
     return CoverMatrix(renamed, [c for c, _ in rows], cols)
 
 
@@ -142,9 +142,8 @@ def _columns(t: Terrain) -> list[int]:
     nearest first: right-reflex vertices right to left, then left-reflex
     vertices left to right."""
 
-    ys = t.ys
-    right = compress(range(len(ys) - 2, -1, -2), map(gt, ys[-2::-2], ys[-1::-2]))
-    return [*right, *compress(range(1, len(ys), 2), map(gt, ys[1::2], ys[0::2]))]
+    right = [v for v, cls in enumerate(t.classes) if cls is RR]
+    return right[::-1] + [v for v, cls in enumerate(t.classes) if cls is LR]
 
 
 def build(t: Terrain, rel: CoverMatrix) -> CoverMatrix:

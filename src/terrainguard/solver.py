@@ -12,7 +12,9 @@ naming matrix rows and columns, where it fails.
 
 Terrains where some convex vertex is seen by no reflex vertex at all have
 no cover; those come back as an InfeasibilityReport rather than an error,
-optionally with a best-possible solution for the guardable subset.
+optionally with a best-possible solution for the guardable subset.  solve
+has one exit: it runs the greedy and the packing check on every guardable
+row, collects the unguardable targets, and decides at the end.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ class GuardSolution:
         # immutable; solve passes (target, guard) pairs, which dict() takes too
         object.__setattr__(self, "guards", tuple(self.guards))
         object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+
+    # a mappingproxy can be neither pickled nor hashed: pickle and deepcopy
+    # rebuild the result from a dict copy of the assignment, and the hash
+    # takes the items as a frozenset, since == ignores their order
+    def __reduce__(self):
+        return type(self), (self.guards, dict(self.assignment))
+
+    def __hash__(self) -> int:
+        return hash((self.guards, frozenset(self.assignment.items())))
 
     @property
     def size(self) -> int:
@@ -84,12 +95,8 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     forcing: list[int] = []  # the row that forced each
     first_cover = [-1] * n  # per covered target, its first chosen guard
     unguardable: list[int] = []
-    rows = target_rows(t)
-    for i, (c, guards) in enumerate(rows):
+    for i, (c, guards) in enumerate(target_rows(t)):
         if not guards:
-            if not allow_partial:
-                # no cover exists: only the other unguardable targets are left to find
-                return InfeasibilityReport(sorted([c, *(d for d, other in rows if not other)]))
             unguardable.append(c)
             continue
         r = min(map(rank.__getitem__, guards))
@@ -105,5 +112,8 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
             chosen.append(guards[-1])
             forcing.append(i)
         first_cover[c] = chosen[r]
+    unguardable.sort()
+    if unguardable and not allow_partial:
+        return InfeasibilityReport(unguardable)
     solution = GuardSolution(sorted(chosen), ((c, g) for c, g in enumerate(first_cover) if g >= 0))
-    return InfeasibilityReport(sorted(unguardable), solution) if unguardable else solution
+    return InfeasibilityReport(unguardable, solution) if unguardable else solution

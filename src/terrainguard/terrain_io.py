@@ -14,8 +14,8 @@ parse reads valid text in bulk: it unifies the line ends, drops blank and
 comment lines with one substitution, matches the rest against _TEXT in one
 go and converts every value with split and int.  Any miss (the match
 fails, a value is past the int digit limit, or the vertex count disagrees
-with the header) hands the original text to _parse_by_line, the per-line
-reader that finds the first bad line and raises its ParseError.
+with the header) hands the same unified text to _parse_by_line, the
+per-line reader that finds the first bad line and raises its ParseError.
 """
 
 from __future__ import annotations
@@ -45,20 +45,11 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _lines(text: str) -> list[str]:
-    # str.splitlines() also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def parse(text: str) -> Terrain:
     """Read the terrain format; raises ParseError or a ValidationError."""
 
-    body = "\n" + (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    body = "\n" + text
     if not body.endswith("\n"):
         body += "\n"
     # sub hands back its input when there is nothing to drop
@@ -76,15 +67,11 @@ def parse(text: str) -> Terrain:
 
 
 def _parse_by_line(text: str) -> Terrain:
-    """Read the format line by line and raise at the first bad line."""
+    """Read text with "\\n" line ends line by line; raise at the first bad line."""
 
-    lines = _lines(text)
-    # a line that starts with a value needs no lstrip; that is most lines
-    numbered = [
-        (ln, s)
-        for ln, s in enumerate(lines, start=1)
-        if s[:1] not in " \t#" or s.lstrip(" \t")[:1] not in ("", "#")
-    ]
+    # str.splitlines() would also break at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+    lines = text.removesuffix("\n").split("\n")
+    numbered = [(ln, s) for ln, s in enumerate(lines, start=1) if s.lstrip(" \t")[:1] not in ("", "#")]
     if not numbered:
         raise ParseError(1, "missing vertex count header")
     header_line, header = numbered[0]

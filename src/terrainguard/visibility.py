@@ -32,10 +32,10 @@ class NotConvex(ValueError):
 def sees(t: Terrain, a: int, b: int) -> bool:
     """True when vertices a and b see each other (symmetric).
 
-    Vertices at equal x never see each other: the segment would run along
-    or through the vertical edge at that x.  Chain neighbours never see each
-    other: their shared edge lies on the terrain, not strictly above it.  A
-    blocking vertex that merely touches the segment counts as blocking.
+    Chain neighbours never see each other: their shared edge lies on the
+    terrain, not strictly above it.  That covers vertices at equal x, which
+    are always the two ends of one vertical edge.  A blocking vertex that
+    merely touches the segment counts as blocking.
     """
 
     for name, v in (("a", a), ("b", b)):
@@ -48,8 +48,6 @@ def sees(t: Terrain, a: int, b: int) -> bool:
         raise ValueError("visibility is defined for two distinct vertices")
     i, j = (a, b) if a < b else (b, a)
     xs, ys = t.xs, t.ys
-    if xs[i] == xs[j]:
-        return False
     if j == i + 1:
         return False
     lx, ly = xs[i], ys[i]

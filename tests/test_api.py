@@ -1,5 +1,5 @@
-"""The public surface of the package, pinned name by name, and the one
-module behind the cover matrix.
+"""The public surface of the package, pinned name by name, the one module
+behind the cover matrix, and no import left unused.
 
 Adding or dropping a public name must show up as a diff to this list.
 """
@@ -80,3 +80,20 @@ def test_the_cover_matrix_sits_behind_one_module():
             if isinstance(node, ast.FunctionDef) and node.name == name
         ]
         assert defined_in == ["covermatrix.py"], (name, defined_in)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names only to re-export them
+    package = Path(terrainguard.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -215,11 +215,15 @@ class TestRows:
             CoverMatrix(((-1,),), (0,), (0, 1))
 
     @pytest.mark.parametrize(
-        "row", [(0.5,), (True,), (0, 1.0), ("0",)], ids=["float", "bool", "float-after-int", "str"]
+        "rows",
+        [((0.5,),), ((True,),), ((0, 1.0),), (("0",),), ((0, 1), (1.0,))],
+        ids=["float", "bool", "float-after-int", "str", "float-in-a-later-row"],
     )
-    def test_rejects_columns_that_are_not_ints(self, row):
-        with pytest.raises(ValueError, match="row 0 must hold strictly increasing columns"):
-            CoverMatrix((row,), (0,), (5, 6))
+    def test_rejects_columns_that_are_not_ints(self, rows):
+        # the last row is the bad one, and the error names it
+        bad = len(rows) - 1
+        with pytest.raises(ValueError, match=f"row {bad} must hold strictly increasing columns"):
+            CoverMatrix(rows, tuple(range(len(rows))), (5, 6))
 
     def test_empty_row_is_falsy(self):
         m = CoverMatrix(((), (1,)), (0, 1), (0, 1))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +175,19 @@ class TestSolve:
         with pytest.raises(AttributeError):
             rep.unguardable.append(5)
 
+    def test_results_pickle_deepcopy_and_hash(self, square_valley):
+        # pickling is what lets a process pool hand results back from its workers
+        t = validate(MIXED_FEASIBILITY)
+        for res in (solve(square_valley), solve(t), solve(t, allow_partial=True)):
+            for twin in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                assert twin == res and hash(twin) == hash(res)
+                sol = twin if isinstance(twin, GuardSolution) else twin.partial
+                if sol is not None:
+                    with pytest.raises(TypeError):
+                        sol.assignment[3] = 0
+        # == ignores the assignment's order, so the hash must too
+        assert hash(GuardSolution((0, 3), {2: 0, 1: 3})) == hash(GuardSolution((0, 3), {1: 3, 2: 0}))
+
     def test_single_step_infeasible(self, single_step_up):
         rep = solve(single_step_up)
         assert isinstance(rep, InfeasibilityReport)
@@ -322,6 +338,14 @@ class TestCertificate:
         assert v.i1 < v.i2 and v.j1 < v.j2
         named = [[entries[i][j] for j in (v.j1, v.j2)] for i in (v.i1, v.i2)]
         assert oracle_greedy_form_violation(named) == (0, 1, 0, 1)
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_unguardable_target_ahead_of_the_pattern(self, monkeypatch, blocked_ledge, allow_partial):
+        # an unguardable target does not end the scan: the rows after it are still checked
+        self._forge(monkeypatch, [(4, ()), (1, (0, 5)), (3, (2, 0))])
+        with pytest.raises(NotGreedyForm) as exc:
+            solve(blocked_ledge, allow_partial)
+        assert exc.value.violation == (1, 2, 1, 2)
 
     def test_pattern_free_rows_solve(self, monkeypatch, blocked_ledge):
         assert oracle_greedy_form_violation([[0, 1, 1], [0, 0, 1], [1, 0, 0]]) is None
