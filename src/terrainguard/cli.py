@@ -152,7 +152,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     result = solve(terrain, args.allow_partial)
     # the oracle checks solve against a matrix of its own
-    m = visibility_relation(terrain) if args.matrix or args.oracle else None
+    m = visibility_relation(terrain) if args.oracle or (args.matrix and not args.quiet) else None
 
     oracle_code = EXIT_OK
     oracle_line = None
@@ -161,7 +161,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     if not args.quiet:
         if args.matrix:
-            sys.stdout.write(format_matrix(m))
+            sys.stdout.writelines(format_matrix(m))
         sys.stdout.write(format_report(terrain, result))
         if oracle_line is not None:
             print(oracle_line)

@@ -14,7 +14,8 @@ pass covers it minimally, checked against brute_force_optimum.  Rows hold
 the increasing columns of their ones.  Only this module numbers columns,
 reading each vertex's class from the Terrain: visibility_relation renames
 the sweep's guards and collects the rows into a validated CoverMatrix for
---matrix, --oracle and the form check.  solve builds no matrix; it calls
+--matrix, --oracle and the form check.  The dense 0/1 form exists only as
+format_matrix's text, one row at a time.  solve builds no matrix; it calls
 _columns only to name a NotGreedyForm violation.
 """
 
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .geometry import LR, RR, Terrain
 from .visibility import target_rows
@@ -68,8 +69,7 @@ class CoverMatrix:
     ``rows[i]`` is the strictly increasing tuple of columns j whose guard at
     ``col_labels[j]`` sees the convex vertex at ``row_labels[i]``; a row
     nobody covers is the empty (falsy) tuple.  Labels are distinct ints.
-    ``entries`` materialises the dense 0/1 form on demand, for small
-    matrices and debugging; ``pairs`` lists the ones as vertex pairs.
+    ``pairs`` lists the ones as vertex pairs.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -107,16 +107,6 @@ class CoverMatrix:
     @property
     def k_prime(self) -> int:
         return len(self.col_labels)
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        dense = []
-        for row in self.rows:
-            line = [0] * self.k_prime
-            for j in row:
-                line[j] = 1
-            dense.append(tuple(line))
-        return tuple(dense)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -232,10 +222,14 @@ def brute_force_optimum(m: CoverMatrix) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("full column set must cover once empty rows are excluded")
 
 
-def format_matrix(m: CoverMatrix) -> str:
-    """Line-oriented debug dump: column labels, then one 0/1 row per line."""
+def format_matrix(m: CoverMatrix) -> Iterator[str]:
+    """Line-oriented debug dump, yielded line by line: column labels, then
+    one dense 0/1 row per line, made from that row's columns alone."""
 
-    lines = ["cols: " + " ".join(str(g) for g in m.col_labels)]
-    for label, line in zip(m.row_labels, m.entries):
-        lines.append(f"row {label}: " + "".join(map(str, line)))
-    return "\n".join(lines) + "\n"
+    yield "cols: " + " ".join(map(str, m.col_labels)) + "\n"
+    zeros = b"0" * m.k_prime
+    for label, row in zip(m.row_labels, m.rows):
+        line = bytearray(zeros)
+        for j in row:
+            line[j] = 49  # ord("1")
+        yield f"row {label}: {line.decode()}\n"

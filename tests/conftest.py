@@ -129,6 +129,20 @@ def staircase_over_comb(m: int) -> Terrain:
     return _unit_run_terrain([3 * m - i for i in range(m + 1)] + [0, m] * m)
 
 
+def walled(t: Terrain) -> Terrain:
+    """t between two vertical walls one unit higher than its highest vertex.
+
+    The left wall's top is behind every right-convex vertex and the right
+    wall's top behind every left-convex one, both strictly higher, so by the
+    feasibility rule (``oracle_unguardable``) every walled terrain is
+    feasible.  The walls add two vertices at each end, one unit out.
+    """
+
+    xs, ys, top = t.xs, t.ys, max(t.ys) + 1
+    left, right = xs[0] - 1, xs[-1] + 1
+    return Terrain([left, left, *xs, right, right], [top, ys[0], *ys, ys[-1], top])
+
+
 def _unit_run_terrain(heights: list[int]) -> Terrain:
     """Vertical edge k at x = k, from heights[k] up or down to heights[k + 1]."""
 
@@ -166,6 +180,13 @@ def small_corpus(count: int = 120, max_steps: int = 8, seed0: int = 1000) -> lis
 @pytest.fixture(scope="session")
 def corpus() -> list[Terrain]:
     return small_corpus()
+
+
+@pytest.fixture(scope="session")
+def random_200k() -> Terrain:
+    """n = 200 000, the size the CLI's --random allows at most."""
+
+    return random_terrain(GenSpec(seed=424242, steps=100_000))
 
 
 @pytest.fixture(scope="session")

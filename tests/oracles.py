@@ -6,11 +6,14 @@ rationals instead of chain-order orientation tests, classification by probing
 which quadrants around a vertex lie above the terrain, covers by exhaustive
 subset search over dense matrices, the forbidden-pattern check by the
 literal four-index loop, and total balance by enumerating square submatrices.
-``matrix_from_entries`` builds a CoverMatrix from such a dense list.
+``matrix_from_entries`` builds a CoverMatrix from such a dense list, and
+``dense`` turns a CoverMatrix back into one.
 ``oracle_solve`` solves from a built matrix: the form check, then a greedy
 that looks up each row's earliest chosen column in the list of choices.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
+``oracle_unguardable`` decides feasibility from prefix and suffix maxima of
+the heights alone, with no visibility test.
 ``oracle_vertex_line`` reads one line of the terrain format with str methods
 instead of the parser's regular expression.  ``oracle_parse`` and
 ``oracle_check_invariants`` are the per-line reader and the per-vertex
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from terrainguard import (
@@ -41,6 +44,7 @@ from terrainguard import (
     Terrain,
     TooFewVertices,
     ValidationError,
+    VertexClass,
     ZeroLengthEdge,
     candidate_guards,
     find_greedy_form_violation,
@@ -264,6 +268,32 @@ def matrix_from_entries(entries: Sequence[Sequence[int]]) -> CoverMatrix:
         raise ValueError("entries must be 0 or 1")
     rows = tuple(tuple(j for j, v in enumerate(row) if v) for row in entries)
     return CoverMatrix(rows, tuple(range(len(entries))), tuple(range(width)))
+
+
+def dense(m: CoverMatrix) -> tuple[tuple[int, ...], ...]:
+    """The dense 0/1 rows of a CoverMatrix, one int per column."""
+
+    return tuple(tuple(int(j in row) for j in range(m.k_prime)) for row in m.rows)
+
+
+def oracle_unguardable(t: Terrain) -> list[int]:
+    """The convex vertices no reflex vertex sees, in chain order, in O(n).
+
+    A right-convex target looks left and a left-convex one right; it is
+    unguardable exactly when no vertex behind it, on that side, is strictly
+    higher.  Proof, from the sweep: the stack at a target is the chain of
+    strictly higher vertices behind it, and its top entry is always visible,
+    so the target's row is empty exactly when the stack is.
+    """
+
+    ys, low = t.ys, min(t.ys)  # low is never strictly higher than a target
+    # per class, the highest height behind each vertex c: max(ys[:c]) for a
+    # target that looks left, max(ys[c + 1:]) for one that looks right
+    behind = {
+        VertexClass.RIGHT_CONVEX: list(accumulate(ys, max, initial=low)),
+        VertexClass.LEFT_CONVEX: list(accumulate(reversed(ys), max, initial=low))[-2::-1],
+    }
+    return [c for c, cls in enumerate(t.classes) if cls in behind and behind[cls][c] <= ys[c]]
 
 
 def oracle_vertex_line(s: str) -> tuple[int, int] | None:

@@ -253,12 +253,18 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "flags, sweeps, relations",
-        [([], 2, 0), (["--matrix"], 4, 1), (["--oracle"], 4, 1), (["--oracle", "--matrix"], 4, 1)],
-        ids=["default", "matrix", "oracle", "oracle-matrix"],
+        [
+            ([], 2, 0),
+            (["--matrix"], 4, 1),
+            (["--oracle"], 4, 1),
+            (["--oracle", "--matrix"], 4, 1),
+            (["--matrix", "--quiet"], 2, 0),
+        ],
+        ids=["default", "matrix", "oracle", "oracle-matrix", "matrix-quiet"],
     )
     def test_sweeps_per_run(self, valley_file, capsys, monkeypatch, flags, sweeps, relations):
-        # solve sweeps each side once; only --matrix and --oracle build the matrix,
-        # with one more pass per side
+        # solve sweeps each side once; only a printed --matrix and --oracle build
+        # the matrix, with one more pass per side
         passes, built = [], []
         sweep, relation = visibility_module._sweep, cli_module.visibility_relation
 
@@ -273,7 +279,11 @@ class TestRun:
         monkeypatch.setattr(visibility_module, "_sweep", counting_sweep)
         monkeypatch.setattr(cli_module, "visibility_relation", counting_relation)
         assert run(["--input", valley_file, *flags]) == EXIT_OK
-        assert VALLEY_REPORT in capsys.readouterr().out
+        out = capsys.readouterr().out
+        if "--quiet" in flags:
+            assert out == ""
+        else:
+            assert VALLEY_REPORT in out
         assert (len(passes), len(built)) == (sweeps, relations)
 
     def test_matrix_and_oracle_report(self, capsys):

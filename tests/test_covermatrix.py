@@ -26,6 +26,7 @@ from tests.conftest import (
     valley_comb,
 )
 from tests.oracles import (
+    dense,
     matrix_from_entries,
     oracle_greedy_form_violation,
     oracle_rows,
@@ -94,12 +95,12 @@ class TestBuild:
         m = build(square_valley, visibility_relation(square_valley))
         assert m.row_labels == (2, 1)
         assert m.col_labels == (0, 3)
-        assert m.entries == ((1, 0), (0, 1))
+        assert dense(m) == ((1, 0), (0, 1))
 
     def test_all_zero_when_nothing_is_seen(self, single_step_up):
         m = build(single_step_up, visibility_relation(single_step_up))
         assert m.k == 1 and m.k_prime == 1
-        assert m.entries == ((0,),)
+        assert dense(m) == ((0,),)
 
     def test_row_and_column_permutation(self, corpus):
         for t in corpus:
@@ -200,7 +201,7 @@ class TestFromEntries:
         m = matrix_from_entries(CLEAN)
         assert m.row_labels == (0, 1)
         assert m.col_labels == (0, 1)
-        assert m.entries == ((1, 1), (0, 1))
+        assert dense(m) == ((1, 1), (0, 1))
 
 
 class TestRows:
@@ -228,7 +229,7 @@ class TestRows:
     def test_empty_row_is_falsy(self):
         m = CoverMatrix(((), (1,)), (0, 1), (0, 1))
         assert not m.rows[0]
-        assert m.entries == ((0, 0), (0, 1))
+        assert dense(m) == ((0, 0), (0, 1))
 
 
 class TestStandardGreedyForm:
@@ -290,19 +291,22 @@ class TestTotallyBalanced:
     def test_greedy_form_implies_balanced(self, entries):
         m = matrix_from_entries(entries)
         if find_greedy_form_violation(m) is None:
-            assert oracle_totally_balanced(m.entries) is True
+            assert oracle_totally_balanced(entries) is True
 
     def test_built_small_matrices_are_balanced(self, corpus):
         for t in corpus:
             if t.n // 2 <= 8:
                 m = build(t, visibility_relation(t))
-                assert oracle_totally_balanced(m.entries) is True
+                assert oracle_totally_balanced(dense(m)) is True
 
 
 class TestFormat:
     def test_square_valley_dump(self, square_valley):
         m = build(square_valley, visibility_relation(square_valley))
-        assert format_matrix(m) == "cols: 0 3\nrow 2: 10\nrow 1: 01\n"
+        assert list(format_matrix(m)) == ["cols: 0 3\n", "row 2: 10\n", "row 1: 01\n"]
+
+    def test_empty_matrix_dumps_its_column_line(self):
+        assert list(format_matrix(CoverMatrix((), (), ()))) == ["cols: \n"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +10,21 @@ from hypothesis import strategies as st
 
 import terrainguard.solver as solver_module
 from terrainguard import (
+    COORD_LIMIT,
     CoverMatrix,
     EmptyRow,
+    GenSpec,
     GuardSolution,
     InfeasibilityReport,
     NotGreedyForm,
+    Terrain,
     TooManyColumns,
     VertexClass,
     brute_force_optimum,
     build,
     find_greedy_form_violation,
     greedy_cover,
+    random_terrain,
     sees,
     solve,
     validate,
@@ -34,13 +39,16 @@ from tests.conftest import (
     terrains,
     tooth_wall_spike,
     valley_comb,
+    walled,
 )
 from tests.oracles import (
+    dense,
     matrix_from_entries,
     oracle_candidates,
     oracle_greedy_form_violation,
     oracle_min_cover,
     oracle_solve,
+    oracle_unguardable,
 )
 from tests.test_covermatrix import matrices
 
@@ -82,7 +90,7 @@ class TestGreedyCover:
                 continue
             cover = greedy_cover(m)
             assert all(cover.intersection(row) for row in m.rows)
-            assert len(cover) == oracle_min_cover([list(r) for r in m.entries])
+            assert len(cover) == oracle_min_cover([list(r) for r in dense(m)])
 
     @given(matrices())
     @settings(max_examples=300, deadline=None)
@@ -351,3 +359,124 @@ class TestCertificate:
         assert oracle_greedy_form_violation([[0, 1, 1], [0, 0, 1], [1, 0, 0]]) is None
         self._forge(monkeypatch, [(1, (0, 5)), (3, (5,)), (4, (2,))])
         assert _outcome(solve(blocked_ledge)) == ("solution", (2, 5), [(1, 5), (3, 5), (4, 2)])
+
+
+def mirror(t: Terrain) -> Terrain:
+    """t reflected in the y axis with its chain reversed: vertex i becomes
+    n - 1 - i, and the left and right sides trade places."""
+
+    return Terrain([-x for x in reversed(t.xs)], t.ys[::-1])
+
+
+def axis_map(t: Terrain, rng: random.Random) -> Terrain:
+    """t under x -> ax + b and y -> cy + d, with a, c > 0 and b, d drawn from
+    rng so that every coordinate stays inside COORD_LIMIT."""
+
+    half = COORD_LIMIT // 2
+    a = rng.randint(1, half // (max(map(abs, t.xs)) + 1))
+    c = rng.randint(1, half // (max(map(abs, t.ys)) + 1))
+    b, d = rng.randint(-half, half), rng.randint(-half, half)
+    return Terrain([a * x + b for x in t.xs], [c * y + d for y in t.ys])
+
+
+def _answer(result):
+    """Guards, assigned pairs and unguardable targets of solve(t, True)."""
+
+    sol = result if isinstance(result, GuardSolution) else result.partial
+    unguardable = () if isinstance(result, GuardSolution) else result.unguardable
+    return set(sol.guards), set(sol.assignment.items()), set(unguardable)
+
+
+def _mirrored(answer, n):
+    guards, pairs, unguardable = answer
+    return (
+        {n - 1 - g for g in guards},
+        {(n - 1 - c, n - 1 - g) for c, g in pairs},
+        {n - 1 - c for c in unguardable},
+    )
+
+
+@pytest.fixture(scope="module")
+def seeded_terrains() -> list[Terrain]:
+    """300 seeded random terrains of 1 to 300 steps, each also walled."""
+
+    found = [
+        random_terrain(GenSpec(seed=60_000 + k, steps=1 + k, max_run=1 + k % 6, max_rise=1 + k % 8))
+        for k in range(300)
+    ]
+    return found + [walled(t) for t in found]
+
+
+@pytest.fixture(scope="module")
+def solved_200k(random_200k):
+    return random_200k, solve(random_200k, True)
+
+
+class TestMetamorphic:
+    """Both maps keep the sign of every visibility determinant, so they leave
+    the answer unchanged up to renaming the vertices."""
+
+    def test_mirror(self, corpus, seeded_terrains):
+        for t in corpus + ADVERSARIES + seeded_terrains:
+            expected = _mirrored(_answer(solve(t, True)), t.n)
+            assert _answer(solve(mirror(t), True)) == expected, (t.xs, t.ys)
+
+    def test_axis_maps(self, corpus, seeded_terrains):
+        rng = random.Random(5150)
+        for t in corpus + ADVERSARIES + seeded_terrains:
+            expected = _outcome(solve(t, True))
+            assert _outcome(solve(axis_map(t, rng), True)) == expected, (t.xs, t.ys)
+
+    def test_both_at_200k(self, solved_200k):
+        t, result = solved_200k
+        assert _answer(solve(mirror(t), True)) == _mirrored(_answer(result), t.n)
+        assert _outcome(solve(axis_map(t, random.Random(2)), True)) == _outcome(result)
+
+
+def _unguardable(result):
+    return [] if isinstance(result, GuardSolution) else list(result.unguardable)
+
+
+class TestFeasibilityRule:
+    """solve's unguardable targets against oracle_unguardable's O(n) rule."""
+
+    def test_corpus_adversaries_and_seeded(self, corpus, seeded_terrains):
+        for t in corpus + ADVERSARIES + seeded_terrains:
+            assert _unguardable(solve(t, True)) == oracle_unguardable(t), (t.xs, t.ys)
+
+    @given(terrains())
+    @settings(max_examples=300, deadline=None)
+    def test_random_terrains(self, t):
+        assert _unguardable(solve(t, True)) == oracle_unguardable(t)
+
+    def test_at_200k(self, solved_200k):
+        t, result = solved_200k
+        assert result.unguardable and list(result.unguardable) == oracle_unguardable(t)
+
+
+class TestWalledFamily:
+    def test_every_member_is_feasible(self, corpus, seeded_terrains):
+        for t in corpus + ADVERSARIES + seeded_terrains:
+            w = walled(t)
+            assert oracle_unguardable(w) == []
+            assert isinstance(solve(w), GuardSolution), (t.xs, t.ys)
+
+    @given(terrains(max_steps=10))
+    @settings(max_examples=200, deadline=None)
+    def test_optimum_matches_brute_force(self, t):
+        w = walled(t)
+        assert solve(w).size == brute_force_optimum(visibility_relation(w))[0]
+
+    def test_matches_matrix_pipeline(self, corpus):
+        for w in map(walled, corpus + ADVERSARIES):
+            assert _outcome(solve(w)) == _outcome(oracle_solve(visibility_relation(w), False))
+
+    def test_optimal_path_at_200k(self, random_200k):
+        w = walled(random_200k)
+        result = solve(w)
+        assert isinstance(result, GuardSolution)
+        assert set(result.assignment) == {c for c, cls in enumerate(w.classes) if cls.is_convex}
+        assert all(w.classes[g].is_reflex for g in result.guards)
+        assert set(result.assignment.values()) == set(result.guards)
+        for c, g in random.Random(424242).sample(sorted(result.assignment.items()), 200):
+            assert sees(w, g, c), (c, g)
