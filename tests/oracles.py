@@ -13,7 +13,12 @@ that looks up each row's earliest chosen column in the list of choices.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
 ``oracle_unguardable`` decides feasibility from prefix and suffix maxima of
-the heights alone, with no visibility test.
+the heights alone, with no visibility test.  ``oracle_target_rows`` is a
+second row algorithm, the eager record sweep: it jumps from guard to guard
+through records built when each guard is pushed, where the sweep walks the
+stack from each target.
+``oracle_random_terrain`` is the per-step generator loop, one next() per
+draw, as it stood before random_terrain took its draws in batches.
 ``oracle_vertex_line`` reads one line of the terrain format with str methods
 instead of the parser's regular expression.  ``oracle_parse`` and
 ``oracle_check_invariants`` are the per-line reader and the per-vertex
@@ -34,6 +39,7 @@ from terrainguard import (
     CoordinateOutOfRange,
     CoverMatrix,
     DiagonalEdge,
+    GenSpec,
     GuardSolution,
     InfeasibilityReport,
     NonAlternatingEdges,
@@ -41,6 +47,7 @@ from terrainguard import (
     NotMonotone,
     OddVertexCount,
     ParseError,
+    SplitMix64,
     Terrain,
     TooFewVertices,
     ValidationError,
@@ -294,6 +301,73 @@ def oracle_unguardable(t: Terrain) -> list[int]:
         VertexClass.LEFT_CONVEX: list(accumulate(reversed(ys), max, initial=low))[-2::-1],
     }
     return [c for c, cls in enumerate(t.classes) if cls in behind and behind[cls][c] <= ys[c]]
+
+
+def oracle_target_rows(t: Terrain) -> list[tuple[int, tuple[int, ...]]]:
+    """target_rows' output, in its order, by the eager record sweep.
+
+    The stack is the sweep's: per side, the pushed guards strictly higher
+    than every vertex after them.  The stack below a guard g is g's own chain
+    when g is pushed, and stays so while g is on it, so g's *records*, the
+    entries below it that it sees, nearest first, are built once, at the
+    push: each entry strictly above the line from g through the previous
+    record (the first is higher than g, so g sees it over its own horizontal
+    edge).  A target sees the top entry; after a guard g it sees the first of
+    g's records strictly above the line from the target through g, and after
+    the last such record nothing more.
+    """
+
+    xs, ys = t.xs, t.ys
+    n = len(ys)
+
+    def above(v: int, g: int, r: int) -> bool:
+        # r strictly above the line from v through g; g and r lie behind v
+        gx, gy = abs(xs[g] - xs[v]), ys[g] - ys[v]
+        rx, ry = abs(xs[r] - xs[v]), ys[r] - ys[v]
+        return gx * ry - gy * rx > 0
+
+    out = []
+    for order in (range(0, n, 2), range(n - 1, 0, -2)):
+        stack: list[int] = []
+        records: dict[int, list[int]] = {}
+        for v in order:
+            while stack and ys[stack[-1]] <= ys[v]:
+                del records[stack.pop()]
+            if ys[v] > ys[v ^ 1]:  # the top of its vertical edge: a guard
+                found: list[int] = []
+                for e in reversed(stack):
+                    if not found or above(v, found[-1], e):
+                        found.append(e)
+                records[v] = found
+                stack.append(v)
+                continue
+            row = stack[-1:]
+            while row:
+                g = row[-1]
+                r = next((e for e in records[g] if above(v, g, e)), None)
+                if r is None:
+                    break
+                row.append(r)
+            out.append((v, tuple(row)))
+    return out
+
+
+def oracle_random_terrain(spec: GenSpec) -> Terrain:
+    """random_terrain by its draw order, one next() per draw."""
+
+    rng = SplitMix64(spec.seed)
+    x = y = 0
+    xs, ys = [0], [0]
+    for s in range(spec.steps):
+        magnitude = 1 + rng.next() % spec.max_rise
+        y += -magnitude if rng.next() & 1 else magnitude
+        xs.append(x)
+        ys.append(y)
+        if s < spec.steps - 1:
+            x += 1 + rng.next() % spec.max_run
+            xs.append(x)
+            ys.append(y)
+    return Terrain(xs, ys)
 
 
 def oracle_vertex_line(s: str) -> tuple[int, int] | None:

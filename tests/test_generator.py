@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from array import array
+
 import pytest
 
 from terrainguard import (
@@ -11,10 +14,35 @@ from terrainguard import (
     VertexClass,
     convex_indices,
     random_terrain,
+    serialize,
     solve,
     validate,
 )
 from tests.conftest import descending_staircase, valley_comb
+from tests.oracles import oracle_random_terrain
+
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+# seeds whose state passes exactly through 0 (mod 2^64) within the first 192
+# draws, one draws() batch of random_terrain, and their neighbours
+WRAP_SEEDS = [(-j * GAMMA) % 2**64 + d for j in (1, 2, 3, 63, 64, 65, 191, 192) for d in (-1, 0, 1)]
+SEEDS = [*range(-20, 20), *(2**64 + i for i in range(4)), 3 * 2**64 + 7, 2**100 - 1, *WRAP_SEEDS]
+# around each multiple of the 64 vertical edges random_terrain draws at a time
+STEPS = (1, 2, 63, 64, 65, 127, 128, 129)
+RUN_RISE = ((1, 1), (10, 10), (3, 7), (1000, 2), (2, 1000), (2**16, 2**16))
+
+
+def pinned_specs() -> list[GenSpec]:
+    return [
+        GenSpec(seed=seed, steps=steps, max_run=run, max_rise=rise)
+        for steps in STEPS
+        for seed in SEEDS
+        for run, rise in RUN_RISE
+    ]
+
+
+# sha256 of serialize() over pinned_specs(), recorded from the per-step
+# generator loop (tests/oracles.py::oracle_random_terrain)
+PINNED_DIGEST = "b1032492f944242b4460e864af27ab46ab356d626e1f9424f48b6e9949bc4314"
 
 
 def mirrored(t):
@@ -35,6 +63,36 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(1 << 64).next() == SplitMix64(0).next()
+
+    @pytest.mark.parametrize("seed", [True, False, 2.0, "3", None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # as GenSpec: True would seed 1, and 2.0 or "3" fail deep inside
+        with pytest.raises(ValueError, match="^seed must be an int"):
+            SplitMix64(seed)
+
+    def test_array_words_are_64_bits(self):
+        assert array("Q").itemsize == 8
+
+    @pytest.mark.parametrize("k", [0, 1, 191, 192, 193, 5000])
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 + 3, WRAP_SEEDS[-2]])
+    def test_draws_equal_k_calls_of_next(self, seed, k):
+        batched, single = SplitMix64(seed), SplitMix64(seed)
+        drawn = batched.draws(k)
+        assert drawn.typecode == "Q"
+        assert list(drawn) == [single.next() for _ in range(k)]
+        # the state advanced by k as well
+        assert batched._state == single._state
+        assert batched.next() == single.next()
+
+    def test_draws_in_turn_continue_the_sequence(self):
+        batched, single = SplitMix64(99), SplitMix64(99)
+        drawn = [v for k in (5, 0, 192, 1, 300) for v in batched.draws(k)]
+        assert drawn == [single.next() for _ in range(498)]
+
+    @pytest.mark.parametrize("k", [-1, 1.0, True, "2", None])
+    def test_draws_rejects_a_bad_count(self, k):
+        with pytest.raises(ValueError, match="^k must be a non-negative int"):
+            SplitMix64(1).draws(k)
 
 
 class TestRandomTerrain:
@@ -95,6 +153,21 @@ class TestRandomTerrain:
     def test_bounds_guard(self):
         with pytest.raises(BoundsExceeded):
             GenSpec(seed=0, steps=2**28, max_rise=8)
+
+    def test_matches_the_per_step_loop(self):
+        specs = pinned_specs()
+        assert len(specs) >= 3000
+        for spec in specs:
+            assert random_terrain(spec) == oracle_random_terrain(spec), spec
+
+    def test_matches_the_per_step_loop_at_100k_steps(self, random_200k):
+        assert random_200k == oracle_random_terrain(GenSpec(seed=424242, steps=100_000))
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        for spec in pinned_specs():
+            digest.update(serialize(random_terrain(spec)).encode())
+        assert digest.hexdigest() == PINNED_DIGEST
 
 
 class TestDescendingStaircase:

@@ -30,6 +30,7 @@ from terrainguard import (
     validate,
     visibility_relation,
 )
+from terrainguard.visibility import target_rows
 from tests.conftest import (
     ascending_staircase,
     comb_under_spike,
@@ -48,6 +49,7 @@ from tests.oracles import (
     oracle_greedy_form_violation,
     oracle_min_cover,
     oracle_solve,
+    oracle_target_rows,
     oracle_unguardable,
 )
 from tests.test_covermatrix import matrices
@@ -480,3 +482,31 @@ class TestWalledFamily:
         assert set(result.assignment.values()) == set(result.guards)
         for c, g in random.Random(424242).sample(sorted(result.assignment.items()), 200):
             assert sees(w, g, c), (c, g)
+
+
+class TestEagerRecordSweep:
+    """target_rows against a second row algorithm, the eager record sweep
+    (oracle_target_rows), at sizes candidate_guards cannot reach."""
+
+    def test_corpus_adversaries_and_seeded(self, corpus, seeded_terrains):
+        for t in corpus + ADVERSARIES + seeded_terrains:
+            assert list(target_rows(t)) == oracle_target_rows(t), (t.xs, t.ys)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            tooth_wall_spike(100, 700),
+            comb_under_spike(300),
+            staircase_over_comb(300),
+            convex_bowl(300),
+            valley_comb(50, width=3, depth=7, gap=1),
+        ],
+        ids=["tooth-wall-spike", "comb-under-spike", "staircase-over-comb", "convex-bowl", "valley-comb"],
+    )
+    def test_larger_adversaries(self, t):
+        assert list(target_rows(t)) == oracle_target_rows(t)
+
+    def test_random_and_walled_at_40k(self):
+        t = random_terrain(GenSpec(seed=4040, steps=20_000))
+        for u in (t, walled(t)):
+            assert list(target_rows(u)) == oracle_target_rows(u)
