@@ -144,12 +144,12 @@ def _sweep(
         row = []
         for g in reversed(stack):
             wx = abs(xs[g] - x)
-            # best remaining slope is top / wx; once it cannot beat uy / ux the
-            # walk is done (both denominators positive)
-            if top * ux <= uy * wx:
-                break
             wy = ys[g] - y
-            if ux * wy - uy * wx > 0:
+            if ux * wy > uy * wx:
                 row.append(g)
                 ux, uy = wx, wy
+            # best remaining slope is top / wx; once it cannot beat uy / ux the
+            # walk is done (both denominators positive)
+            elif top * ux <= uy * wx:
+                break
         yield v, tuple(row)

@@ -183,6 +183,17 @@ def corpus() -> list[Terrain]:
 
 
 @pytest.fixture(scope="session")
+def seeded_terrains() -> list[Terrain]:
+    """300 seeded random terrains of 1 to 300 steps, each also walled."""
+
+    found = [
+        random_terrain(GenSpec(seed=60_000 + k, steps=1 + k, max_run=1 + k % 6, max_rise=1 + k % 8))
+        for k in range(300)
+    ]
+    return found + [walled(t) for t in found]
+
+
+@pytest.fixture(scope="session")
 def random_200k() -> Terrain:
     """n = 200 000, the size the CLI's --random allows at most."""
 

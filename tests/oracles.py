@@ -16,7 +16,8 @@ classification, coordinate sorts and the pairwise candidate_guards.
 the heights alone, with no visibility test.  ``oracle_target_rows`` is a
 second row algorithm, the eager record sweep: it jumps from guard to guard
 through records built when each guard is pushed, where the sweep walks the
-stack from each target.
+stack from each target.  ``oracle_sweep_rows`` is the sweep with its walk as
+it stood when the early-stop test ran ahead of the visibility test.
 ``oracle_random_terrain`` is the per-step generator loop, one next() per
 draw, as it stood before random_terrain took its draws in batches.
 ``oracle_vertex_line`` reads one line of the terrain format with str methods
@@ -32,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from terrainguard import (
     COORD_LIMIT,
@@ -350,6 +351,42 @@ def oracle_target_rows(t: Terrain) -> list[tuple[int, tuple[int, ...]]]:
                 row.append(r)
             out.append((v, tuple(row)))
     return out
+
+
+def oracle_sweep_rows(t: Terrain) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """target_rows' output, in its order, by the sweep's walk as it stood
+    when it ran the early-stop test ahead of the visibility test.
+
+    The walk is kept verbatim, so it stops at the same entry as the sweep's
+    and examines as many; a generator, like the sweep, so that a line tracer
+    can count the walk's steps per target.
+    """
+
+    xs, ys = t.xs, t.ys
+    n = len(ys)
+    for order in (range(0, n, 2), range(n - 1, 0, -2)):
+        stack: list[int] = []
+        for v in order:
+            x, y = xs[v], ys[v]
+            while stack and ys[stack[-1]] <= y:
+                stack.pop()
+            if y > ys[v ^ 1]:  # the top of its vertical edge: a guard
+                stack.append(v)
+                continue
+            top = ys[stack[0]] - y if stack else 0
+            ux, uy = 1, 0
+            row = []
+            for g in reversed(stack):
+                wx = abs(xs[g] - x)
+                # best remaining slope is top / wx; once it cannot beat uy / ux the
+                # walk is done (both denominators positive)
+                if top * ux <= uy * wx:
+                    break
+                wy = ys[g] - y
+                if ux * wy - uy * wx > 0:
+                    row.append(g)
+                    ux, uy = wx, wy
+            yield v, tuple(row)
 
 
 def oracle_random_terrain(spec: GenSpec) -> Terrain:

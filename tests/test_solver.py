@@ -399,17 +399,6 @@ def _mirrored(answer, n):
 
 
 @pytest.fixture(scope="module")
-def seeded_terrains() -> list[Terrain]:
-    """300 seeded random terrains of 1 to 300 steps, each also walled."""
-
-    found = [
-        random_terrain(GenSpec(seed=60_000 + k, steps=1 + k, max_run=1 + k % 6, max_rise=1 + k % 8))
-        for k in range(300)
-    ]
-    return found + [walled(t) for t in found]
-
-
-@pytest.fixture(scope="module")
 def solved_200k(random_200k):
     return random_200k, solve(random_200k, True)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import sys
 
 import pytest
@@ -22,12 +23,14 @@ from terrainguard import (
 from tests.conftest import (
     ascending_staircase,
     comb_under_spike,
+    convex_bowl,
     descending_staircase,
     staircase_over_comb,
     terrains,
     tooth_wall_spike,
+    walled,
 )
-from tests.oracles import oracle_candidates, oracle_sees
+from tests.oracles import oracle_candidates, oracle_sees, oracle_sweep_rows
 
 # reconstruction of a terrain with all four classes where the left-reflex
 # vertex 7 sees the left-convex vertex 5 but not the right-convex vertex 2
@@ -37,28 +40,49 @@ FOUR_CLASS = [
 ]
 
 
-def sweep_lines(t, last: int | None = None) -> int:
-    """Lines the stack sweep executes on t, up to the row of target ``last``
-    when given: a deterministic measure of its work."""
+def traced_lines(rows, code, line: int | None = None) -> list[tuple[int | None, int]]:
+    """Drain the row iterator ``rows`` and count the lines that ``code``
+    executes, only line number ``line`` when given: per target, in the order
+    the rows come, the lines since the previous target, then ``(None, the
+    lines after the last)``.  A deterministic measure of the work."""
 
-    code = visibility_module._sweep.__code__
+    counts: list[tuple[int | None, int]] = []
     count = 0
 
     def count_lines(frame, event, arg):
         nonlocal count
-        if event == "line":
+        if event == "line" and (line is None or frame.f_lineno == line):
             count += 1
         return count_lines
 
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
     try:
-        for c, _ in visibility_module.target_rows(t):
-            if c == last:
-                break
+        for c, _ in rows:
+            counts.append((c, count))
+            count = 0
     finally:
         sys.settrace(previous)
-    return count
+    return counts + [(None, count)]
+
+
+def sweep_lines(t, last: int | None = None) -> int:
+    """Lines the stack sweep executes on t, up to the row of target ``last``
+    when given: a deterministic measure of its work."""
+
+    counts = traced_lines(visibility_module.target_rows(t), visibility_module._sweep.__code__)
+    if last is not None:
+        counts = counts[: [c for c, _ in counts].index(last) + 1]
+    return sum(count for _, count in counts)
+
+
+def walk_steps(rows, code) -> list[tuple[int | None, int]]:
+    """Per target of the row iterator ``rows``, the stack entries that the
+    walk in ``code`` examines: the runs of its ``wx =`` line."""
+
+    lines, first = inspect.getsourcelines(code)
+    (wx,) = [first + k for k, text in enumerate(lines) if text.lstrip().startswith("wx = ")]
+    return traced_lines(rows, code, wx)
 
 
 def by_target(rel: CoverMatrix) -> dict[int, tuple[int, ...]]:
@@ -299,6 +323,45 @@ class TestChainSweepAdversaries:
         for c in bottoms:
             # c + 2 is the next tooth's top, or the wall top for the last tooth
             assert rel[c] == tuple(sorted({c + 2, wall_top, spike}))
+
+
+class TestVisibilityTestFirst:
+    """The walk tests an entry's visibility before the early stop, which a
+    visible entry never meets: no entry is higher than the stack's bottom, so
+    when an entry's slope beats the extreme, so does the bound's.  Against
+    the walk with the stop test first (oracle_sweep_rows): the same rows, and
+    the same entries examined for each target."""
+
+    def test_corpus_families_and_seeded(self, corpus, seeded_terrains):
+        families = [
+            tooth_wall_spike(100, 700),
+            convex_bowl(300),
+            comb_under_spike(300),
+            staircase_over_comb(300),
+        ]
+        for t in corpus + families + seeded_terrains:
+            assert list(visibility_module.target_rows(t)) == list(oracle_sweep_rows(t)), (t.xs, t.ys)
+
+    def test_random_and_walled_at_40k(self):
+        t = random_terrain(GenSpec(seed=4141, steps=20_000))
+        for u in (t, walled(t)):
+            assert list(visibility_module.target_rows(u)) == list(oracle_sweep_rows(u))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            staircase_over_comb(300),
+            comb_under_spike(300),
+            convex_bowl(300),
+            tooth_wall_spike(6, 12),
+            random_terrain(GenSpec(seed=5, steps=300)),
+        ],
+        ids=["staircase-over-comb", "comb-under-spike", "convex-bowl", "tooth-wall-spike", "random"],
+    )
+    def test_examines_the_same_entries(self, t):
+        steps = walk_steps(visibility_module.target_rows(t), visibility_module._sweep.__code__)
+        assert sum(count for _, count in steps) > 0
+        assert steps == walk_steps(oracle_sweep_rows(t), oracle_sweep_rows.__code__)
 
 
 @settings(max_examples=300, deadline=None)
