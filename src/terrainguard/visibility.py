@@ -13,8 +13,8 @@ Everything here is exact integer arithmetic (2x2 determinants).  The
 whole-terrain relation is one monotone-stack pass per side, O(n + hops)
 with hops = Theta(n^2) only on adversarial inputs.  The passes yield the
 targets in row order, each with its guards as reflex vertices nearest
-first; solve consumes them as they come, and covermatrix numbers the
-guards by column for the matrix views.
+first, and covermatrix numbers the guards by column for the matrix views.
+solve runs the same passes with its greedy inside them (see solver).
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ literal four-index loop, and total balance by enumerating square submatrices.
 ``dense`` turns a CoverMatrix back into one.
 ``oracle_solve`` solves from a built matrix: the form check, then a greedy
 that looks up each row's earliest chosen column in the list of choices.
+``oracle_row_solve`` is solve as it stood when it walked every row of
+target_rows, kept verbatim as the reference for solve's own passes.
 ``oracle_rows`` rebuilds the permuted cover matrix's rows from the quadrant
 classification, coordinate sorts and the pairwise candidate_guards.
 ``oracle_unguardable`` decides feasibility from prefix and suffix maxima of
@@ -57,7 +59,9 @@ from terrainguard import (
     candidate_guards,
     find_greedy_form_violation,
 )
+from terrainguard.covermatrix import Violation, _columns
 from terrainguard.terrain_io import INTEGER
+from terrainguard.visibility import target_rows
 
 
 def terrain_height(t: Terrain, x: Fraction) -> Fraction:
@@ -263,6 +267,47 @@ def oracle_solve(m: CoverMatrix, allow_partial: bool) -> GuardSolution | Infeasi
                 chosen.append(covering[0])
             first_cover[c] = m.col_labels[covering[0]]
     solution = GuardSolution(sorted(m.col_labels[j] for j in chosen), sorted(first_cover.items()))
+    return InfeasibilityReport(unguardable, solution) if unguardable else solution
+
+
+def oracle_row_solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | InfeasibilityReport:
+    """solve as it stood when it ran the greedy and the packing check on
+    target_rows' rows as they came, every row walked in full.
+
+    The loop is kept verbatim, so results, the assignment's order and the
+    NotGreedyForm it names can be compared with solve's.
+    """
+
+    n = t.n
+    # per guard: its position in choice order, and the choice whose forcing
+    # row holds it; n marks a guard not chosen, or not held
+    rank = [n] * n
+    owner = [n] * n
+    chosen: list[int] = []  # guards in choice order
+    forcing: list[int] = []  # the row that forced each
+    first_cover = [-1] * n  # per covered target, its first chosen guard
+    unguardable: list[int] = []
+    for i, (c, guards) in enumerate(target_rows(t)):
+        if not guards:
+            unguardable.append(c)
+            continue
+        r = min(map(rank.__getitem__, guards))
+        if r == n:
+            r = len(chosen)
+            for g in guards:
+                if owner[g] != n:
+                    # the earlier forcing row's choice is missing here; name both by column
+                    o, cols = owner[g], _columns(t)
+                    raise NotGreedyForm(Violation(forcing[o], i, cols.index(g), cols.index(chosen[o])))
+                owner[g] = r
+            rank[guards[-1]] = r
+            chosen.append(guards[-1])
+            forcing.append(i)
+        first_cover[c] = chosen[r]
+    unguardable.sort()
+    if unguardable and not allow_partial:
+        return InfeasibilityReport(unguardable)
+    solution = GuardSolution(sorted(chosen), ((c, g) for c, g in enumerate(first_cover) if g >= 0))
     return InfeasibilityReport(unguardable, solution) if unguardable else solution
 
 

@@ -35,7 +35,7 @@ from terrainguard import (
     solve,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase, descending_staircase, valley_comb
+from tests.conftest import ascending_staircase, convex_bowl, descending_staircase, valley_comb
 from tests.oracles import dense, matrix_from_entries, oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX
@@ -253,6 +253,17 @@ def test_criterion_9_scale_smoke():
         else result.partial.size if result.partial else 0
     )
     _report(9, f"solve on n=10000 finished in {elapsed:.2f}s ({covered} guards chosen)")
+
+
+def test_criterion_9_bowl_smoke():
+    # 64M visible pairs, covered by 2 guards: listing every pair takes seconds
+    t = convex_bowl(8000)
+    assert t.n == 32_000
+    started = time.monotonic()
+    result = solve(t, allow_partial=True)
+    elapsed = time.monotonic() - started
+    assert elapsed < 2, f"criterion 9 exceeded its 2s budget: {elapsed:.2f}s"
+    _report(9, f"solve on convex_bowl(8000), n=32000, in {elapsed:.3f}s ({result.size} guards)")
 
 
 @pytest.mark.parametrize(

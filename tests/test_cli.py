@@ -254,19 +254,19 @@ class TestRun:
     @pytest.mark.parametrize(
         "flags, sweeps, relations",
         [
-            ([], 2, 0),
-            (["--matrix"], 4, 1),
-            (["--oracle"], 4, 1),
-            (["--oracle", "--matrix"], 4, 1),
-            (["--matrix", "--quiet"], 2, 0),
+            ([], 0, 0),
+            (["--matrix"], 2, 1),
+            (["--oracle"], 2, 1),
+            (["--oracle", "--matrix"], 2, 1),
+            (["--matrix", "--quiet"], 0, 0),
         ],
         ids=["default", "matrix", "oracle", "oracle-matrix", "matrix-quiet"],
     )
     def test_sweeps_per_run(self, valley_file, capsys, monkeypatch, flags, sweeps, relations):
-        # solve sweeps each side once; only a printed --matrix and --oracle build
-        # the matrix, with one more pass per side
-        passes, built = [], []
-        sweep, relation = visibility_module._sweep, cli_module.visibility_relation
+        # solve runs once and makes its own passes; only a printed --matrix and
+        # --oracle build the matrix, with one visibility sweep pass per side
+        passes, built, solved = [], [], []
+        sweep, relation, solver = visibility_module._sweep, cli_module.visibility_relation, cli_module.solve
 
         def counting_sweep(*args):
             passes.append(args)
@@ -276,15 +276,20 @@ class TestRun:
             built.append(t)
             return relation(t)
 
+        def counting_solve(*args):
+            solved.append(args)
+            return solver(*args)
+
         monkeypatch.setattr(visibility_module, "_sweep", counting_sweep)
         monkeypatch.setattr(cli_module, "visibility_relation", counting_relation)
+        monkeypatch.setattr(cli_module, "solve", counting_solve)
         assert run(["--input", valley_file, *flags]) == EXIT_OK
         out = capsys.readouterr().out
         if "--quiet" in flags:
             assert out == ""
         else:
             assert VALLEY_REPORT in out
-        assert (len(passes), len(built)) == (sweeps, relations)
+        assert (len(passes), len(built), len(solved)) == (sweeps, relations, 1)
 
     def test_matrix_and_oracle_report(self, capsys):
         assert run(["--random", "5:6", "--oracle", "--matrix", "--allow-partial"]) == EXIT_OK

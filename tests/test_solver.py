@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from tests.oracles import (
     oracle_candidates,
     oracle_greedy_form_violation,
     oracle_min_cover,
+    oracle_row_solve,
     oracle_solve,
     oracle_target_rows,
     oracle_unguardable,
@@ -324,43 +326,149 @@ class TestSolveAgainstMatrixPipeline:
         assert [solve(t, allow_partial=True) for t in corpus + ADVERSARIES] == expected
 
 
-class TestCertificate:
-    """solve checks that its forcing rows pack; forged rows stand in for the sweep.
+def _row_outcomes(t):
+    """oracle_row_solve's outcome without and with allow_partial, from one
+    call: without it, an infeasible terrain's report drops the partial cover."""
 
-    The forged guards are blocked_ledge's reflex vertices, nearest first, so
-    in its column order (2, 0, 5) they name the columns of ``entries``.
+    full = oracle_row_solve(t, True)
+    bare = full if isinstance(full, GuardSolution) else InfeasibilityReport(full.unguardable)
+    return _outcome(bare), _outcome(full)
+
+
+def _assert_fused_greedy_matches(t, expected=None):
+    bare, full = expected or _row_outcomes(t)
+    assert _outcome(solve(t, False)) == bare, (t.xs, t.ys)
+    assert _outcome(solve(t, True)) == full, (t.xs, t.ys)
+
+
+# -1 asks L after every walked row, 10**9 never: neither may change a result
+LONG_ROWS = pytest.mark.parametrize("long_row", [solver_module._LONG_ROW, -1, 10**9])
+
+
+@pytest.fixture(scope="module")
+def row_solved(corpus, seeded_terrains):
+    families = ADVERSARIES + [valley_comb(12, width=3, depth=7, gap=1)]
+    return [(t, _row_outcomes(t)) for t in corpus + families + seeded_terrains]
+
+
+class TestFusedGreedy:
+    """solve's own passes against oracle_row_solve, which walks every row of
+    target_rows: the same result, the assignment in the same order."""
+
+    @LONG_ROWS
+    def test_corpus_families_and_seeded(self, row_solved, monkeypatch, long_row):
+        monkeypatch.setattr(solver_module, "_LONG_ROW", long_row)
+        for t, expected in row_solved:
+            _assert_fused_greedy_matches(t, expected)
+
+    @LONG_ROWS
+    @given(terrains())
+    @settings(max_examples=300, deadline=None)
+    def test_random_terrains(self, long_row, t):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_LONG_ROW", long_row)
+            _assert_fused_greedy_matches(t)
+
+    def test_random_and_walled_at_40k(self):
+        t = random_terrain(GenSpec(seed=4040, steps=20_000))
+        for u in (t, walled(t)):
+            _assert_fused_greedy_matches(u)
+
+    @pytest.mark.parametrize(
+        "t", [convex_bowl(2000), tooth_wall_spike(2000, 4000)], ids=["convex-bowl", "tooth-wall-spike"]
+    )
+    def test_where_walking_every_row_is_slow(self, t):
+        _assert_fused_greedy_matches(t)
+
+
+def solve_lines(t) -> int:
+    """Line events while solve(t, True) runs, in every frame: a
+    deterministic measure of its work."""
+
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(count_lines)
+    try:
+        solve(t, True)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize(
+    "t", [convex_bowl(300), tooth_wall_spike(100, 700)], ids=["convex-bowl", "tooth-wall-spike"]
+)
+def test_solve_work_is_linear(t):
+    # walking every row costs Theta(pairs) on the bowl (k(k + 1) pairs) and
+    # Theta(m * ascent) hops on the teeth; asking L first needs neither
+    assert solve_lines(t) <= 40 * t.n
+
+
+def forged_chain(xs, ys) -> Terrain:
+    """A Terrain built without validation, its vertices classed by Terrain's
+    rule: reflex exactly at the top of a vertical edge.
+
+    Its "horizontal" edges may slope, which breaks the greedy form that the
+    sweep's rows of a real terrain always have.
     """
 
+    t = object.__new__(Terrain)
+    object.__setattr__(t, "xs", tuple(xs))
+    object.__setattr__(t, "ys", tuple(ys))
+    by_parity = (
+        (VertexClass.RIGHT_CONVEX, VertexClass.RIGHT_REFLEX),
+        (VertexClass.LEFT_CONVEX, VertexClass.LEFT_REFLEX),
+    )
+    object.__setattr__(t, "classes", tuple(by_parity[i % 2][y > ys[i ^ 1]] for i, y in enumerate(ys)))
+    return t
+
+
+# target 3 forces guard 7 with guard 5 in its row; target 1 then sees 5 alone
+PATTERN_CHAIN = ((-5, -5, -2, -2, 3, 3, 5, 5), (3, 0, 6, 2, 0, 4, 3, 5))
+
+
+class TestCertificate:
+    """solve checks that its forcing rows pack; chains with sloped edges,
+    which no valid terrain has, break the packing."""
+
     @staticmethod
-    def _forge(monkeypatch, rows):
-        def forged(t):
-            return iter(rows)
-
-        monkeypatch.setattr(solver_module, "target_rows", forged)
-
-    def test_forbidden_pattern_breaks_the_packing(self, monkeypatch, blocked_ledge):
-        assert visibility_relation(blocked_ledge).col_labels == (2, 0, 5)
-        entries = [[0, 1, 1], [1, 1, 0]]
-        self._forge(monkeypatch, [(1, (0, 5)), (3, (2, 0))])
+    def _violation(t, allow_partial=False):
         with pytest.raises(NotGreedyForm) as exc:
-            solve(blocked_ledge)
-        v = exc.value.violation
+            solve(t, allow_partial)
+        with pytest.raises(NotGreedyForm) as expected:
+            oracle_row_solve(t, allow_partial)
+        assert exc.value.violation == expected.value.violation
+        return exc.value.violation
+
+    def test_forbidden_pattern_breaks_the_packing(self):
+        t = forged_chain(*PATTERN_CHAIN)
+        v = self._violation(t)
         assert v.i1 < v.i2 and v.j1 < v.j2
+        entries = dense(visibility_relation(t))
         named = [[entries[i][j] for j in (v.j1, v.j2)] for i in (v.i1, v.i2)]
         assert oracle_greedy_form_violation(named) == (0, 1, 0, 1)
 
     @pytest.mark.parametrize("allow_partial", [False, True])
-    def test_unguardable_target_ahead_of_the_pattern(self, monkeypatch, blocked_ledge, allow_partial):
-        # an unguardable target does not end the scan: the rows after it are still checked
-        self._forge(monkeypatch, [(4, ()), (1, (0, 5)), (3, (2, 0))])
-        with pytest.raises(NotGreedyForm) as exc:
-            solve(blocked_ledge, allow_partial)
-        assert exc.value.violation == (1, 2, 1, 2)
+    def test_unguardable_target_ahead_of_the_pattern(self, allow_partial):
+        # a step up in front adds an unguardable first row; the rows after it
+        # are still checked, with or without allow_partial
+        xs, ys = PATTERN_CHAIN
+        t = forged_chain((-7, -7, *xs), (-1, 3, *ys))
+        assert list(target_rows(t))[0] == (0, ())
+        assert self._violation(t, allow_partial) == (3, 4, 3, 4)
 
-    def test_pattern_free_rows_solve(self, monkeypatch, blocked_ledge):
-        assert oracle_greedy_form_violation([[0, 1, 1], [0, 0, 1], [1, 0, 0]]) is None
-        self._forge(monkeypatch, [(1, (0, 5)), (3, (5,)), (4, (2,))])
-        assert _outcome(solve(blocked_ledge)) == ("solution", (2, 5), [(1, 5), (3, 5), (4, 2)])
+    def test_pattern_free_rows_solve(self):
+        t = forged_chain((0, 0, 4, 4, 6, 6, 8, 8), (6, 0, 1, 2, 0, 4, 0, 4))
+        assert oracle_greedy_form_violation(dense(visibility_relation(t))) is None
+        expected = ("solution", (0, 5), [(1, 5), (2, 0), (4, 0), (6, 0)])
+        assert _outcome(solve(t)) == _outcome(oracle_row_solve(t)) == expected
 
 
 def mirror(t: Terrain) -> Terrain:
