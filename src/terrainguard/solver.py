@@ -21,6 +21,7 @@ target, collects the unguardable targets, and decides at the end.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from operator import indexOf
 from types import MappingProxyType
@@ -30,7 +31,7 @@ from .covermatrix import NotGreedyForm, Violation, _columns
 from .geometry import LC, RC, Terrain
 
 # solve asks L before walking a row only while the last row it walked held
-# more guards than this (see solve)
+# more guards than this: a measured trade on random terrains (see solve)
 _LONG_ROW = 2
 
 
@@ -107,14 +108,21 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
       the stack last stood lowest.  Every entry scanned lies between L and
       the target, and every entry now above L has been scanned, so the
       maximum is exact without dropping popped entries.
-    - Ranks only grow, so L stays L until it is popped.  The next ask then
-      finds the lowest rank left in one pass over the stack.
+    - Ranks only grow, so L stays L until it is popped, and a new choice
+      ranks above every chosen guard on the stack.  The chosen guards that
+      rank below every chosen guard beneath them are kept by stack position,
+      L last: a pop that takes L finds the next one there, and a new choice
+      joins them only when no chosen guard lies beneath it.
     - solve asks only while the last row it walked held more than
-      _LONG_ROW guards.  The rows of random terrains are short, and walking
-      them costs less than asking; the threshold never changes a result.
+      _LONG_ROW guards.  On random terrains about one ask in seven is
+      answered, so asking before every row saves about what it costs;
+      asking only after the long rows, a third of theirs, makes
+      random-sparse solves about 5 % faster.  Every row of a bowl is long,
+      and every ask there is answered.  The threshold never changes a
+      result.
     A target walks its row only when L is not asked, is absent, or is not
-    seen.  So solve costs O(n + hops of the walked rows + the passes that
-    find a new L), and O(n) on a bowl, which two guards cover.
+    seen.  So solve costs O(n + hops of the walked rows), and O(n) on a
+    bowl, which two guards cover.
     """
 
     xs, ys = t.xs, t.ys
@@ -130,8 +138,12 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
     unguardable: list[int] = []
     for vertices in _sides(xs, ys):
         stack: list[int] = []  # guards; their heights strictly decrease upward
+        # stack positions of the chosen guards that rank below every chosen
+        # guard beneath them, bottom first: L is the last, and the one before
+        # it becomes L when L is popped
+        lows: deque[int] = deque()
         ask = False  # the last walked row held more than long_row guards
-        lpos = -1  # L's stack position, stale once low <= lpos; -1: no chosen guard on the stack
+        lpos = -1  # L's stack position; -1: no chosen guard on the stack
         rx, ry = 0, -1  # the steepest entry from L scanned so far, or straight down
         low = 0  # the lowest stack height since the last scan
         for v, x, y, y_partner in vertices:
@@ -139,29 +151,28 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
                 stack.pop()
                 if len(stack) < low:
                     low = len(stack)
+                    if low == lpos:
+                        # L was popped: the next is beneath it in lows
+                        lows.pop()
+                        lpos = lows[-1] if lows else -1
+                        rx, ry = 0, -1
+                        low = lpos + 1
             if y > y_partner:
                 stack.append(v)
                 continue
             if not stack:
                 unguardable.append(v)
                 continue
-            if ask:
-                if lpos >= low:
-                    # L was popped, and ranks only grow: the next L is the lowest left
-                    r = min(map(rank.__getitem__, stack))
-                    lpos = stack.index(chosen[r]) if r < n else -1
-                    rx, ry = 0, -1
-                    low = lpos + 1
-                if lpos >= 0:
-                    lx, ly = xs[stack[lpos]], ys[stack[lpos]]
-                    for g in stack[low:]:
-                        wx, wy = abs(xs[g] - lx), ys[g] - ly
-                        if wy * rx > ry * wx:
-                            rx, ry = wx, wy
-                    low = len(stack)
-                    if (y - ly) * rx > ry * abs(x - lx):
-                        first_cover[v] = stack[lpos]
-                        continue
+            if ask and lpos >= 0:
+                lx, ly = xs[stack[lpos]], ys[stack[lpos]]
+                for g in stack[low:]:
+                    wx, wy = abs(xs[g] - lx), ys[g] - ly
+                    if wy * rx > ry * wx:
+                        rx, ry = wx, wy
+                low = len(stack)
+                if (y - ly) * rx > ry * abs(x - lx):
+                    first_cover[v] = stack[lpos]
+                    continue
             # the sweep's walk (see visibility._sweep), keeping the row's lowest rank
             top = ys[stack[0]] - y
             ux, uy = 1, 0
@@ -186,15 +197,20 @@ def solve(t: Terrain, allow_partial: bool = False) -> GuardSolution | Infeasibil
                         o = owner[g]
                         raise _pattern(t, forcing[o], v, g, chosen[o])
                     owner[g] = r
-                rank[row[-1]] = r
-                chosen.append(row[-1])
+                g = row[-1]
+                rank[g] = r
+                chosen.append(g)
                 forcing.append(v)
+                # the walk reached g, so searching from the top costs no more
+                p = len(stack) - 1 - indexOf(reversed(stack), g)
                 if lpos < 0:
-                    # no chosen guard was on the stack, so this one is L; the walk
-                    # reached it, so searching from the top costs no more
-                    lpos = len(stack) - 1 - indexOf(reversed(stack), row[-1])
+                    lows.append(p)
+                    lpos = p
                     rx, ry = 0, -1
-                    low = lpos + 1
+                    low = p + 1
+                elif p < lows[0]:
+                    # no chosen guard lies beneath g, and every other ranks below it
+                    lows.appendleft(p)
             first_cover[v] = chosen[r]
     del vertices  # its slices need not outlive the passes
     unguardable.sort()

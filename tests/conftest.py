@@ -129,6 +129,31 @@ def staircase_over_comb(m: int) -> Terrain:
     return _unit_run_terrain([3 * m - i for i in range(m + 1)] + [0, m] * m)
 
 
+def gadgets_under_staircase(d: int, m: int) -> Terrain:
+    """d unit steps down, a floor long enough that no later sightline
+    reaches them, then m gadgets: three steps down into a pit, and a rise
+    one unit above the gadget's highest top.
+
+    Each pit sees its gadget's three tops and forces the highest, which the
+    next rise pops.  So the sweep's stack keeps the d step tops, which no
+    target chooses, beneath a chosen guard that is popped m times: finding
+    the lowest-rank chosen guard left by searching the stack costs Theta(d)
+    per gadget.
+    """
+
+    if d < 1 or m < 1:
+        raise ValueError("d and m must be >= 1")
+    top = m + 20  # above every gadget
+    pts = [p for k in range(d) for p in ((k, top + d - k), (k, top + d - k - 1))]
+    pts += [(d, top), (d, 10)]
+    x = 2 * d + m + 20
+    for a in range(10, 10 + m):
+        pts += [(x, a), (x, a - 4), (x + 1, a - 4), (x + 1, a - 7), (x + 2, a - 7), (x + 2, a - 9)]
+        pts += [(x + 3, a - 9), (x + 3, a + 1)]
+        x += 4
+    return validate(pts)
+
+
 def walled(t: Terrain) -> Terrain:
     """t between two vertical walls one unit higher than its highest vertex.
 

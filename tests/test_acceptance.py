@@ -35,7 +35,13 @@ from terrainguard import (
     solve,
     visibility_relation,
 )
-from tests.conftest import ascending_staircase, convex_bowl, descending_staircase, valley_comb
+from tests.conftest import (
+    ascending_staircase,
+    convex_bowl,
+    descending_staircase,
+    gadgets_under_staircase,
+    valley_comb,
+)
 from tests.oracles import dense, matrix_from_entries, oracle_totally_balanced
 
 RC = VertexClass.RIGHT_CONVEX
@@ -264,6 +270,19 @@ def test_criterion_9_bowl_smoke():
     elapsed = time.monotonic() - started
     assert elapsed < 2, f"criterion 9 exceeded its 2s budget: {elapsed:.2f}s"
     _report(9, f"solve on convex_bowl(8000), n=32000, in {elapsed:.3f}s ({result.size} guards)")
+
+
+def test_criterion_9_next_guard_smoke():
+    # 1000 times a chosen guard is popped over 100 001 step tops that no
+    # target chose: searching the stack for the next one takes seconds
+    t = gadgets_under_staircase(100_000, 1000)
+    assert t.n == 208_002
+    started = time.monotonic()
+    result = solve(t, allow_partial=True)
+    elapsed = time.monotonic() - started
+    assert elapsed < 1, f"criterion 9 exceeded its 1s budget: {elapsed:.2f}s"
+    guards = result.partial.size
+    _report(9, f"solve on gadgets_under_staircase(100000, 1000) in {elapsed:.3f}s ({guards} guards)")
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from tests.conftest import (
     comb_under_spike,
     convex_bowl,
     descending_staircase,
+    gadgets_under_staircase,
     staircase_over_comb,
     terrains,
     tooth_wall_spike,
@@ -347,7 +348,7 @@ LONG_ROWS = pytest.mark.parametrize("long_row", [solver_module._LONG_ROW, -1, 10
 
 @pytest.fixture(scope="module")
 def row_solved(corpus, seeded_terrains):
-    families = ADVERSARIES + [valley_comb(12, width=3, depth=7, gap=1)]
+    families = ADVERSARIES + [valley_comb(12, width=3, depth=7, gap=1), gadgets_under_staircase(30, 12)]
     return [(t, _row_outcomes(t)) for t in corpus + families + seeded_terrains]
 
 
@@ -403,11 +404,16 @@ def solve_lines(t) -> int:
 
 
 @pytest.mark.parametrize(
-    "t", [convex_bowl(300), tooth_wall_spike(100, 700)], ids=["convex-bowl", "tooth-wall-spike"]
+    "t",
+    [convex_bowl(300), tooth_wall_spike(100, 700), gadgets_under_staircase(400, 50)],
+    ids=["convex-bowl", "tooth-wall-spike", "gadgets-under-staircase"],
 )
 def test_solve_work_is_linear(t):
     # walking every row costs Theta(pairs) on the bowl (k(k + 1) pairs) and
-    # Theta(m * ascent) hops on the teeth; asking L first needs neither
+    # Theta(m * ascent) hops on the teeth; asking L first needs neither.  The
+    # gadgets pop their chosen guard over a stack of d unchosen ones, which a
+    # search for the next L would scan every time (in C, so line events
+    # miss it: test_acceptance times it)
     assert solve_lines(t) <= 40 * t.n
 
 
