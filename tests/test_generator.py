@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terrainguard import (
     BoundsExceeded,
@@ -23,10 +26,11 @@ from tests.oracles import oracle_random_terrain
 
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 # seeds whose state passes exactly through 0 (mod 2^64) within the first 192
-# draws, one draws() batch of random_terrain, and their neighbours
+# draws, one 192-lane chunk of draws() (64 vertical edges of random_terrain),
+# and their neighbours
 WRAP_SEEDS = [(-j * GAMMA) % 2**64 + d for j in (1, 2, 3, 63, 64, 65, 191, 192) for d in (-1, 0, 1)]
 SEEDS = [*range(-20, 20), *(2**64 + i for i in range(4)), 3 * 2**64 + 7, 2**100 - 1, *WRAP_SEEDS]
-# around each multiple of the 64 vertical edges random_terrain draws at a time
+# around each multiple of 64 vertical edges, where draws() starts a new chunk
 STEPS = (1, 2, 63, 64, 65, 127, 128, 129)
 RUN_RISE = ((1, 1), (10, 10), (3, 7), (1000, 2), (2, 1000), (2**16, 2**16))
 
@@ -43,6 +47,17 @@ def pinned_specs() -> list[GenSpec]:
 # sha256 of serialize() over pinned_specs(), recorded from the per-step
 # generator loop (tests/oracles.py::oracle_random_terrain)
 PINNED_DIGEST = "b1032492f944242b4460e864af27ab46ab356d626e1f9424f48b6e9949bc4314"
+
+
+def traced_peak(f) -> int:
+    """The tracemalloc peak, in bytes, while f() runs."""
+
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mirrored(t):
@@ -73,7 +88,7 @@ class TestSplitMix64:
     def test_array_words_are_64_bits(self):
         assert array("Q").itemsize == 8
 
-    @pytest.mark.parametrize("k", [0, 1, 191, 192, 193, 5000])
+    @pytest.mark.parametrize("k", [0, 1, 191, 192, 193, 383, 384, 385, 5000])
     @pytest.mark.parametrize("seed", [0, -5, 2**64 + 3, WRAP_SEEDS[-2]])
     def test_draws_equal_k_calls_of_next(self, seed, k):
         batched, single = SplitMix64(seed), SplitMix64(seed)
@@ -88,6 +103,39 @@ class TestSplitMix64:
         batched, single = SplitMix64(99), SplitMix64(99)
         drawn = [v for k in (5, 0, 192, 1, 300) for v in batched.draws(k)]
         assert drawn == [single.next() for _ in range(498)]
+
+    def test_draws_straddling_chunk_ends_continue_the_sequence(self):
+        # 191 + 2 crosses the first 192-lane chunk's end, 385 spans three
+        counts = (191, 2, 190, 385, 0, 1)
+        batched, single = SplitMix64(-7), SplitMix64(-7)
+        drawn = [v for k in counts for v in batched.draws(k)]
+        assert drawn == [single.next() for _ in range(sum(counts))]
+        assert batched._state == single._state
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(min_value=0, max_value=700))
+    @example(seed=-1, k=385)
+    @example(seed=2**64, k=192)
+    def test_draws_equal_next_for_any_seed(self, seed, k):
+        batched, single = SplitMix64(seed), SplitMix64(seed)
+        assert list(batched.draws(k)) == [single.next() for _ in range(k)]
+        assert batched._state == single._state
+
+    def test_generators_drawn_in_alternation_keep_their_own_sequences(self):
+        # the lane constants are shared by every generator and never changed
+        a, b = SplitMix64(5), SplitMix64(2**64 + 6)
+        drawn_a, drawn_b = array("Q"), array("Q")
+        for k in (7, 192, 400, 1):
+            drawn_a += a.draws(k)
+            drawn_b += b.draws(k + 3)
+        ref_a, ref_b = SplitMix64(5), SplitMix64(6)
+        assert list(drawn_a) == [ref_a.next() for _ in range(600)]
+        assert list(drawn_b) == [ref_b.next() for _ in range(612)]
+
+    def test_draws_needs_little_memory_beyond_its_output(self):
+        # one chunk at a time: the peak is the 8-byte words returned, plus
+        # the array's spare room and one chunk's ints
+        assert traced_peak(lambda: SplitMix64(3).draws(10**6)) <= 1.5 * 8 * 10**6
 
     @pytest.mark.parametrize("k", [-1, 1.0, True, "2", None])
     def test_draws_rejects_a_bad_count(self, k):
@@ -162,6 +210,10 @@ class TestRandomTerrain:
 
     def test_matches_the_per_step_loop_at_100k_steps(self, random_200k):
         assert random_200k == oracle_random_terrain(GenSpec(seed=424242, steps=100_000))
+
+    def test_peak_memory_at_100k_steps(self):
+        peak = traced_peak(lambda: random_terrain(GenSpec(seed=424242, steps=100_000)))
+        assert peak <= 20_000 * 1024
 
     def test_pinned_digest(self):
         digest = hashlib.sha256()
