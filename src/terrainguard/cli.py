@@ -80,7 +80,12 @@ def _load_terrain(args: argparse.Namespace) -> Terrain:
 
 
 def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> str:
-    """Line-oriented report; every index is a 0-based chain position."""
+    """Line-oriented report; every index is a 0-based chain position.
+
+    Each printed vertex is classed alone (``Terrain.vertex_class``), so the
+    report never builds ``Terrain.classes``; ``_value_`` is the member's
+    value without the slower ``Enum.value`` property.
+    """
 
     lines: list[str] = []
     if isinstance(result, GuardSolution):
@@ -92,13 +97,13 @@ def format_report(t: Terrain, result: GuardSolution | InfeasibilityReport) -> st
     if sol is not None:
         lines.append(f"guards: {sol.size}")
         for g in sol.guards:
-            lines.append(f"guard {g} {t.xs[g]} {t.ys[g]} {t.classes[g].value}")
+            lines.append(f"guard {g} {t.xs[g]} {t.ys[g]} {t.vertex_class(g)._value_}")
         for c, g in sol.assignment.items():
             lines.append(f"assign {c} <- {g}")
     if unguardable:
         lines.append(f"unguardable: {len(unguardable)}")
         for c in unguardable:
-            lines.append(f"unguardable {c} {t.xs[c]} {t.ys[c]} {t.classes[c].value}")
+            lines.append(f"unguardable {c} {t.xs[c]} {t.ys[c]} {t.vertex_class(c)._value_}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,8 +14,9 @@ package reduces to exact signed 64-bit-safe arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import cycle
 from operator import eq, getitem, gt, lt
 from typing import Iterable, Sequence
@@ -94,7 +95,7 @@ RC = VertexClass.RIGHT_CONVEX
 LR = VertexClass.LEFT_REFLEX
 RR = VertexClass.RIGHT_REFLEX
 
-# indexed [i & 1][is reflex]; see Terrain.__post_init__
+# indexed [i & 1][is reflex]; see Terrain.classes
 _CLASS_BY_PARITY = ((RC, RR), (LC, LR))
 
 
@@ -104,39 +105,53 @@ class Terrain:
 
     Construction runs the full invariant check, so holding a Terrain is proof
     of validity.  Instances are immutable and safe to share across workers.
-    The constructor also derives ``classes``, the per-vertex classification
-    the visibility code leans on.  Valid input is checked and classified by
-    whole-sequence comparisons and maps (``_is_terrain``); only input that
-    fails them goes through ``_check_invariants``, which names the first
-    error.
+    Valid input is checked by whole-sequence comparisons and maps
+    (``_is_terrain``); only input that fails them goes through
+    ``_check_invariants``, which names the first error.  The per-vertex
+    classification, ``classes``, is derived on first read and then kept;
+    ``vertex_class`` classifies one vertex without it.
     """
 
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    classes: tuple[VertexClass, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The checks slice lists, not tuples: CPython keeps freed tuples of
         # fewer than 20 items on free lists that only a full gc empties, so
         # the slices of many small terrains would pile up there.
-        xs, ys = list(self.xs), list(self.ys)
+        xs, ys = self.xs, self.ys
+        if type(xs) is not list:
+            xs = list(xs)
+        if type(ys) is not list:
+            ys = list(ys)
         if not _is_terrain(xs, ys):
             _check_invariants(xs, ys)
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ys", tuple(ys))
-        # Even-index vertices are the right endpoint of their horizontal edge and
-        # odd-index ones the left endpoint: horizontal edges occupy odd edge
-        # slots, and the left/right rays give v_0 and v_{n-1} the same parity
-        # rule.  Vertex i's vertical edge runs to i ^ 1, and i is reflex when it
-        # is the top of that edge.
-        other = ys[:]  # other[i] = ys[i ^ 1]
-        other[0::2], other[1::2] = ys[1::2], ys[0::2]
-        classes = tuple(map(getitem, cycle(_CLASS_BY_PARITY), map(gt, ys, other)))
-        object.__setattr__(self, "classes", classes)
 
     @property
     def n(self) -> int:
         return len(self.xs)
+
+    @cached_property
+    def classes(self) -> tuple[VertexClass, ...]:
+        """Every vertex's class, in chain order; computed on first read."""
+
+        # Even-index vertices are the right endpoint of their horizontal edge
+        # and odd-index ones the left endpoint: horizontal edges occupy odd
+        # edge slots, and the left/right rays give v_0 and v_{n-1} the same
+        # parity rule.  Vertex i's vertical edge runs to i ^ 1, and i is
+        # reflex when it is the top of that edge.
+        ys = self.ys
+        other = list(ys)  # other[i] = ys[i ^ 1]
+        other[0::2], other[1::2] = ys[1::2], ys[0::2]
+        return tuple(map(getitem, cycle(_CLASS_BY_PARITY), map(gt, ys, other)))
+
+    def vertex_class(self, i: int) -> VertexClass:
+        """``classes[i]`` by the same rule, without building ``classes``."""
+
+        ys = self.ys
+        return _CLASS_BY_PARITY[i & 1][ys[i] > ys[i ^ 1]]
 
 
 def validate(raw_points: Iterable[Sequence[int]]) -> Terrain:
@@ -168,7 +183,8 @@ def _is_terrain(xs: list[int], ys: list[int]) -> bool:
     The type test comes before ``min`` and ``max``, which raise on mixed
     types.  Vertical edges are the even edge slots (x kept, y changed, so
     none has zero length); horizontal edges are the odd ones (y kept, x
-    strictly rising).
+    strictly rising).  Once those hold, the xs never fall along the chain,
+    so its two ends bound the x range.
     """
 
     n = len(xs)
@@ -177,14 +193,14 @@ def _is_terrain(xs: list[int], ys: list[int]) -> bool:
         and n >= 2
         and n % 2 == 0
         and {*map(type, xs), *map(type, ys)} == {int}
-        and -COORD_LIMIT <= min(xs)
-        and max(xs) <= COORD_LIMIT
         and -COORD_LIMIT <= min(ys)
         and max(ys) <= COORD_LIMIT
         and xs[0::2] == xs[1::2]
         and not any(map(eq, ys[0::2], ys[1::2]))
         and ys[1:-1:2] == ys[2::2]
         and all(map(lt, xs[1:-1:2], xs[2::2]))
+        and -COORD_LIMIT <= xs[0]
+        and xs[-1] <= COORD_LIMIT
     )
 
 

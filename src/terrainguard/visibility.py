@@ -19,7 +19,6 @@ solve runs the same passes with its greedy inside them (see solver).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .geometry import LR, RC, RR, Terrain
@@ -91,14 +90,15 @@ def candidate_guards(t: Terrain, c: int) -> tuple[int, ...]:
 def target_rows(t: Terrain) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Each convex vertex with the reflex vertices that see it, nearest
     first, in row order: one stack pass per side (see _sweep), the even
-    vertices left to right, then the odd vertices right to left."""
+    vertices left to right, then the odd vertices right to left.
+
+    Each side's slices are made when its pass starts, and its zip is held
+    only by that pass, so one side's slices are alive at a time."""
 
     xs, ys = t.xs, t.ys
     n = len(ys)
-    return chain(
-        _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), xs, ys),
-        _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), xs, ys),
-    )
+    yield from _sweep(zip(range(0, n, 2), xs[0::2], ys[0::2], ys[1::2]), xs, ys)
+    yield from _sweep(zip(range(n - 1, 0, -2), xs[-1::-2], ys[-1::-2], ys[-2::-2]), xs, ys)
 
 
 def _sweep(

@@ -11,8 +11,11 @@ import terrainguard.cli as cli_module
 import terrainguard.visibility as visibility_module
 from terrainguard import (
     CoverMatrix,
+    GenSpec,
     GuardSolution,
     InfeasibilityReport,
+    Terrain,
+    random_terrain,
     serialize,
     solve,
     validate,
@@ -24,6 +27,7 @@ from terrainguard.cli import (
     EXIT_OK,
     EXIT_ORACLE_MISMATCH,
     MAX_RANDOM_STEPS,
+    format_report,
     run,
 )
 from tests.conftest import SINGLE_STEP_UP, SQUARE_VALLEY
@@ -196,9 +200,32 @@ class TestRun:
         assert rel.pairs == pairs.fget(rel)
         assert reads == [rel]
 
-    def test_oracle_rejects_large_terrains(self, tmp_path, capsys):
-        from terrainguard import GenSpec, random_terrain
+    def test_report_never_builds_classes(self, valley_file, step_file, mixed_file, capsys, monkeypatch):
+        """The report classes each printed vertex alone: without --matrix,
+        --svg or --oracle a run never builds Terrain.classes."""
 
+        for t in (validate(MIXED_FEASIBILITY), random_terrain(GenSpec(seed=5, steps=300))):
+            format_report(t, solve(t, allow_partial=True))
+            assert "classes" not in vars(t)
+        argvs = [
+            ["--input", valley_file],
+            ["--input", step_file],
+            ["--input", mixed_file, "--allow-partial"],
+            ["--random", "5:300", "--allow-partial"],
+        ]
+        expected = []
+        for argv in argvs:
+            expected.append((run(argv), capsys.readouterr().out))
+
+        def unbuilt(t):
+            raise AssertionError("Terrain.classes was built")
+
+        monkeypatch.setattr(Terrain, "classes", property(unbuilt))
+        for argv, (code, out) in zip(argvs, expected):
+            assert run(argv) == code
+            assert capsys.readouterr().out == out
+
+    def test_oracle_rejects_large_terrains(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text(serialize(random_terrain(GenSpec(seed=3, steps=30))))
         assert run(["--input", str(path), "--oracle"]) == EXIT_INPUT_ERROR

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,7 @@ from terrainguard import (
     COORD_LIMIT,
     CoordinateOutOfRange,
     DiagonalEdge,
+    GenSpec,
     NonAlternatingEdges,
     NotMonotone,
     OddVertexCount,
@@ -21,6 +23,10 @@ from terrainguard import (
     VertexClass,
     ZeroLengthEdge,
     convex_indices,
+    parse,
+    random_terrain,
+    serialize,
+    solve,
     validate,
 )
 from tests.conftest import terrains
@@ -205,6 +211,76 @@ class TestClassify:
                 xs = [t.xs[i] for i, c in enumerate(t.classes) if c is cls]
                 assert xs == sorted(xs)
                 assert len(set(xs)) == len(xs)
+
+
+class TestClassesOnDemand:
+    """Terrain stores its coordinates only; ``classes`` is built on first
+    read and kept, and ``vertex_class`` classes one vertex without it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terrains())
+    def test_vertex_class_matches_classes_and_oracle(self, t):
+        one_by_one = [t.vertex_class(i) for i in range(t.n)]
+        assert "classes" not in vars(t)
+        assert one_by_one == list(t.classes)
+        assert [c.value for c in one_by_one] == [oracle_class(t, i) for i in range(t.n)]
+
+    def test_vertex_class_matches_classes_on_corpus(self, corpus):
+        for t in corpus:
+            assert [t.vertex_class(i) for i in range(-t.n, t.n)] == list(t.classes) * 2, (t.xs, t.ys)
+
+    def test_builders_and_solve_leave_classes_unbuilt(self, corpus):
+        for t in corpus[:20]:
+            built = [
+                validate(zip(t.xs, t.ys)),
+                parse(serialize(t)),
+                Terrain(t.xs, t.ys),
+                random_terrain(GenSpec(seed=t.n, steps=t.n // 2)),
+            ]
+            for u in built:
+                solve(u, True)
+                assert "classes" not in vars(u)
+
+    def test_fields_are_the_coordinates(self):
+        assert [f.name for f in dataclasses.fields(Terrain)] == ["xs", "ys"]
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_classes_cannot_be_set_or_deleted(self, square_valley, read):
+        t = Terrain(square_valley.xs, square_valley.ys)
+        if read:
+            t.classes
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.classes = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.classes
+        assert t.classes == square_valley.classes
+
+    def test_eq_hash_and_pickle_ignore_whether_classes_was_read(self, corpus):
+        for t in corpus[:20]:
+            unread, read = Terrain(t.xs, t.ys), Terrain(t.xs, t.ys)
+            read.classes
+            assert unread == read and hash(unread) == hash(read)
+            for u in (unread, read):
+                back = pickle.loads(pickle.dumps(u))
+                assert back == t and hash(back) == hash(t)
+                assert back.classes == t.classes
+
+    def test_caller_lists_are_copied(self):
+        xs, ys = [0, 0, 10, 10], [10, 0, 0, 10]
+        t = Terrain(xs, ys)
+        xs[2] = ys[0] = 99
+        xs.append(10)
+        assert (t.xs, t.ys) == ((0, 0, 10, 10), (10, 0, 0, 10))
+
+    def test_x_range_is_checked_at_the_chain_ends(self):
+        t = validate([(-COORD_LIMIT, 5), (-COORD_LIMIT, 0), (COORD_LIMIT, 0), (COORD_LIMIT, 5)])
+        assert (t.xs[0], t.xs[-1]) == (-COORD_LIMIT, COORD_LIMIT)
+        with pytest.raises(CoordinateOutOfRange) as exc:
+            validate([(-OVER, 5), (-OVER, 0), (0, 0), (0, 5)])
+        assert (str(exc.value), exc.value.index) == ("vertex 0 at (-1073741825, 5) exceeds |coord| <= 2^30", 0)
+        with pytest.raises(CoordinateOutOfRange) as exc:
+            validate([(0, 5), (0, 0), (OVER, 0), (OVER, 5)])
+        assert (str(exc.value), exc.value.index) == ("vertex 2 at (1073741825, 0) exceeds |coord| <= 2^30", 2)
 
 
 class TestBulkValidation:

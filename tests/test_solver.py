@@ -362,14 +362,6 @@ class TestFusedGreedy:
         for t, expected in row_solved:
             _assert_fused_greedy_matches(t, expected)
 
-    @LONG_ROWS
-    @given(terrains())
-    @settings(max_examples=300, deadline=None)
-    def test_random_terrains(self, long_row, t):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_module, "_LONG_ROW", long_row)
-            _assert_fused_greedy_matches(t)
-
     def test_random_and_walled_at_40k(self):
         t = random_terrain(GenSpec(seed=4040, steps=20_000))
         for u in (t, walled(t)):
@@ -379,6 +371,18 @@ class TestFusedGreedy:
         "t", [convex_bowl(2000), tooth_wall_spike(2000, 4000)], ids=["convex-bowl", "tooth-wall-spike"]
     )
     def test_where_walking_every_row_is_slow(self, t):
+        _assert_fused_greedy_matches(t)
+
+
+# module level, not in TestFusedGreedy: hypothesis fails its
+# differing_executors health check on a @given method that a parametrize runs
+# with a new self per parameter, unless its pytest plugin is loaded
+@LONG_ROWS
+@given(terrains())
+@settings(max_examples=300, deadline=None)
+def test_fused_greedy_on_random_terrains(long_row, t):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_LONG_ROW", long_row)
         _assert_fused_greedy_matches(t)
 
 

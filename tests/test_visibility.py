@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from tests.conftest import (
     walled,
 )
 from tests.oracles import oracle_candidates, oracle_sees, oracle_sweep_rows
+from tests.test_generator import traced_peak
 
 # reconstruction of a terrain with all four classes where the left-reflex
 # vertex 7 sees the left-convex vertex 5 but not the right-convex vertex 2
@@ -380,3 +382,13 @@ def test_target_rows_name_guards_nearest_first(t):
     for c in convex_indices(t):
         nearest_first = sorted(candidate_guards(t, c), key=lambda g: abs(t.xs[g] - t.xs[c]))
         assert rows[c] == tuple(nearest_first), ((t.xs, t.ys), c)
+
+
+def test_target_rows_holds_one_sides_slices_at_a_time():
+    """A side's pass reads three coordinate slices of n / 2 items, 12 bytes
+    of pointers per vertex.  Drained, target_rows peaks near one side's
+    slices (12.8 bytes per vertex here), not both sides' (24)."""
+
+    t = random_terrain(GenSpec(seed=424242, steps=10_000))
+    peak = traced_peak(lambda: deque(visibility_module.target_rows(t), maxlen=0))
+    assert peak < 18 * t.n
